@@ -78,8 +78,8 @@ pub enum VcPolicy {
 
 impl VcPolicy {
     /// A validated [`VcPolicy::RouterPooled`]. Panics on `pool == 0`,
-    /// `per_edge_min == 0`, or `per_edge_min > per_edge_max` (the
-    /// graph-dependent `per_edge_min · fanout ≤ pool` check runs at
+    /// `per_edge_min == 0`, `per_edge_min > per_edge_max`, or a cap above
+    /// `u16::MAX` (the graph-dependent `per_edge_min · fanout ≤ pool` check runs at
     /// simulation start, when the fanout is known).
     pub fn pooled(pool: u32, per_edge_min: u32, per_edge_max: u32) -> Self {
         let p = VcPolicy::RouterPooled {
@@ -111,12 +111,13 @@ impl VcPolicy {
                     per_edge_min <= per_edge_max,
                     "per_edge_min {per_edge_min} exceeds per_edge_max {per_edge_max}"
                 );
-                assert!(
-                    per_edge_max <= u16::MAX as u32,
-                    "per_edge_max exceeds the simulator's u16 holder counters"
-                );
             }
         }
+        let cap = self.max_per_edge();
+        assert!(
+            cap <= u16::MAX as u32,
+            "per-edge VC cap {cap} exceeds the simulator's u16 holder counters"
+        );
     }
 
     /// The hard per-edge VC cap (`B`, or `per_edge_max`).
@@ -364,7 +365,8 @@ pub struct SimConfig {
 
 impl SimConfig {
     /// A config with `b` static virtual channels per edge and defaults
-    /// matching the paper's primary model.
+    /// matching the paper's primary model. Panics unless
+    /// `1 ≤ b ≤ u16::MAX`.
     pub fn new(b: u32) -> Self {
         let vc_policy = VcPolicy::Static(b);
         vc_policy.validate();
@@ -549,6 +551,25 @@ mod tests {
     #[should_panic(expected = "exceeds per_edge_max")]
     fn rejects_floor_above_cap() {
         VcPolicy::pooled(8, 3, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "u16 holder counters")]
+    fn rejects_static_b_beyond_the_holder_counters() {
+        let _ = SimConfig::new(u16::MAX as u32 + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "u16 holder counters")]
+    fn rejects_pooled_cap_beyond_the_holder_counters() {
+        VcPolicy::pooled(1 << 20, 1, u16::MAX as u32 + 1);
+    }
+
+    #[test]
+    fn accepts_the_largest_counter_sized_cap() {
+        let cap = u16::MAX as u32;
+        assert_eq!(SimConfig::new(cap).vc_policy.max_per_edge(), cap);
+        assert_eq!(VcPolicy::pooled(cap, 1, cap).max_per_edge(), cap);
     }
 
     #[test]

@@ -23,11 +23,11 @@
 //!   worm free-runs independently to `min(next release, step cap, its
 //!   finish)`: header steps in a tight `O(1)`-per-advance loop, and the
 //!   deterministic drain phase (`finish at advance = hops + L − 1`)
-//!   collapsed to a closed form by [`Sim::fast_drain`]. A fully idle
-//!   network jumps straight to the next message release. Fast-forwards
-//!   never cross a release time or the step cap, so every arbitration
-//!   decision — and every release-at-`t`-visible-at-`t+1` boundary —
-//!   still happens at its exact legacy step.
+//!   collapsed to the kernel's closed form ([`Sim::commit_drain`]). A
+//!   fully idle network jumps straight to the next message release.
+//!   Fast-forwards never cross a release time or the step cap, so every
+//!   arbitration decision — and every release-at-`t`-visible-at-`t+1`
+//!   boundary — still happens at its exact legacy step.
 //!
 //! Near saturation this turns the `O(active)` per-step rescan (where
 //! `active` includes the entire source-queued backlog) into
@@ -37,7 +37,7 @@
 
 use crate::config::BlockedPolicy;
 use crate::events::DeadlockReport;
-use crate::stats::Outcome;
+use crate::stats::{DiscardReason, Outcome};
 use crate::wormhole::Sim;
 
 const NONE: u32 = u32::MAX;
@@ -46,7 +46,7 @@ struct EventState {
     /// Head of the waiter list per wait key (`NONE` = empty). The key is
     /// the wanted **edge** under the static VC policy and the wanted
     /// edge's **source router** under [`VcPolicy::RouterPooled`]
-    /// ([`Sim::wait_key`]): pooling lets a release on any sibling edge
+    /// (`VcTable::wait_key`): pooling lets a release on any sibling edge
     /// return shared credit, so every waiter of the router must be
     /// reconsidered — the pool-release wakeup rule.
     ///
@@ -94,46 +94,27 @@ impl EventState {
 /// Runs the event-driven loop to completion. Returns `(outcome, final
 /// step, deadlock report)` exactly as the legacy driver would.
 pub(crate) fn drive(sim: &mut Sim) -> (Outcome, u64, Option<DeadlockReport>) {
-    let n_wait_keys = if sim.pooled {
-        sim.num_nodes()
-    } else {
-        sim.num_edges
-    };
     let mut st = EventState {
-        waiter_head: vec![NONE; n_wait_keys],
+        waiter_head: vec![NONE; sim.k.vc.num_wait_keys()],
         next_waiter: Vec::new(),
         parked_at: Vec::new(),
         parked: Vec::new(),
         runnable: Vec::new(),
         n_parked: 0,
         indep_cached: Some(true), // empty set is trivially disjoint
-        edge_mark: vec![0; sim.num_edges],
-        node_mark: vec![0; sim.num_nodes()],
+        edge_mark: vec![0; sim.graph.num_edges()],
+        node_mark: vec![0; sim.graph.num_nodes()],
         mark_epoch: 0,
     };
     let mut t: u64 = 0;
     loop {
-        // Idle network: the run is over iff the source (with every
-        // completion flushed) is dry; otherwise jump to the next release
-        // — never past the cap. With worms in flight, only the cap ends
-        // the run early (settling parked stalls through the last
-        // simulated step, as the legacy per-step counting would).
-        if st.runnable.is_empty() && st.n_parked == 0 {
-            match sim.peek_next_release(t) {
-                None => return (Outcome::Completed, t, None),
-                Some(r) => {
-                    if t >= sim.config.max_steps {
-                        return (Outcome::MaxSteps, t, None);
-                    }
-                    if r >= sim.config.max_steps {
-                        return (Outcome::MaxSteps, sim.config.max_steps, None);
-                    }
-                    t = t.max(r);
-                }
+        // A capped run settles parked stalls through the last simulated
+        // step, as the legacy per-step counting would.
+        if let Some(end) = sim.loop_head(st.n_active() == 0, &mut t) {
+            if end == Outcome::MaxSteps {
+                top_up_stalls(sim, &mut st, sim.config.max_steps.saturating_sub(1));
             }
-        } else if t >= sim.config.max_steps {
-            top_up_stalls(sim, &mut st, sim.config.max_steps.saturating_sub(1));
-            return (Outcome::MaxSteps, t, None);
+            return (end, t, None);
         }
         // Kills scheduled at `t` take effect at the start of the step,
         // before admissions — exactly as in the legacy driver. A severed
@@ -144,42 +125,36 @@ pub(crate) fn drive(sim: &mut Sim) -> (Outcome, u64, Option<DeadlockReport>) {
         // unblocked worms contend at `t` itself — a kill discard lands at
         // step start, so its releases follow the release-at-`t−1` rule.
         if sim.faulted() && sim.next_kill_time() <= t {
-            sim.released.clear();
+            sim.k.vc.released.clear();
             sim.apply_kills(t);
             if st.n_parked > 0 {
                 for mi in 0..st.parked.len() {
-                    if st.parked[mi] && sim.outcomes[mi].discarded.is_some() {
+                    if st.parked[mi] && sim.worms[mi].out.discarded.is_some() {
                         st.parked[mi] = false;
                         st.n_parked -= 1;
-                        sim.outcomes[mi].stalls += (t - 1) - st.parked_at[mi];
+                        sim.worms[mi].out.stalls += (t - 1) - st.parked_at[mi];
                     }
                 }
-                for i in 0..sim.released.len() {
-                    let key = sim.wait_key(sim.released[i] as usize);
-                    wake_at_step_start(sim, &mut st, key, t);
+                for i in 0..sim.k.vc.released.len() {
+                    let key = sim.k.vc.released[i] as usize;
+                    wake(sim, &mut st, key, t - 1, t);
                 }
                 if st.n_parked == 0 {
-                    sim.track_releases = false;
+                    sim.k.vc.track_releases = false;
                 }
             }
             let before = st.runnable.len();
-            let outcomes = &sim.outcomes;
+            let worms = &sim.worms;
             st.runnable
-                .retain(|&m| outcomes[m as usize].discarded.is_none());
+                .retain(|&m| worms[m as usize].out.discarded.is_none());
             if st.runnable.len() != before {
                 st.indep_cached = None;
             }
         }
-        let new = sim.admit_ready(t);
-        if !new.is_empty() {
-            for i in new {
-                let m = sim.admitted_id(i);
-                // Skip messages discarded at admission (dead-on-arrival).
-                if sim.outcomes[m as usize].discarded.is_none() {
-                    st.runnable.push(m);
-                }
-            }
-            st.grow(sim.specs.len());
+        let before = st.runnable.len();
+        sim.admit_ready(t, &mut st.runnable);
+        if st.runnable.len() != before {
+            st.grow(sim.worms.len());
             st.indep_cached = None;
         }
         if st.runnable.is_empty() {
@@ -215,7 +190,7 @@ pub(crate) fn drive(sim: &mut Sim) -> (Outcome, u64, Option<DeadlockReport>) {
         if st.n_parked == 0
             && !sim.reactive
             && (all_draining(sim, &st)
-                || (sim.adaptive.is_none() && !sim.pooled && independent(sim, &mut st)))
+                || (sim.k.router.is_none() && !sim.k.vc.pooled() && independent(sim, &mut st)))
             && ff_batch(sim, &mut st, &mut t)
         {
             continue;
@@ -231,88 +206,61 @@ pub(crate) fn drive(sim: &mut Sim) -> (Outcome, u64, Option<DeadlockReport>) {
     }
 }
 
-/// One full-bandwidth step over the runnable set. Mirrors the legacy
-/// stepper's classify → arbitrate → apply phases, then parks losers and
-/// wakes the waiters of every wait key that released capacity.
+/// One full-bandwidth step over the runnable set: the kernel's
+/// classify → arbitrate phases and the shared apply phase, then losers
+/// park and the waiters of every wait key that released capacity wake.
 fn step(sim: &mut Sim, st: &mut EventState, t: u64) -> bool {
-    sim.movers.clear();
-    sim.blocked.clear();
-    sim.buckets.clear();
-    sim.doomed.clear();
-    sim.released.clear();
-    // Classify. Parked worms are exactly the contenders of non-acquirable
-    // edges, so leaving them out changes no arbitration outcome (such an
-    // edge blocks every contender regardless). Pending adaptive worms
-    // select their wanted hop inside classify — they are never parked, so
-    // they re-select here every step exactly like the legacy stepper.
-    for i in 0..st.runnable.len() {
-        let m = st.runnable[i];
-        sim.classify(m);
-    }
-    // Arbitrate on start-of-step holder counts (the canonical shared
-    // phase-2 — including the pooled ascending-edge-id credit grants).
-    sim.arbitrate(t);
-    // Apply. Doomed worms (pending, with a severed escape continuation)
-    // are discarded here — after arbitration, exactly as in the legacy
-    // stepper — so their releases land mid-step and wake waiters below.
-    let moved = !sim.movers.is_empty();
-    for i in 0..sim.movers.len() {
-        let m = sim.movers[i];
-        sim.apply_advance(m, t);
-    }
-    for i in 0..sim.doomed.len() {
-        let m = sim.doomed[i];
-        sim.discard(m, t, crate::stats::DiscardReason::LinkDown);
-    }
+    sim.k.vc.released.clear();
+    // Parked worms are exactly the contenders of non-acquirable edges, so
+    // leaving them out changes no arbitration outcome (such an edge
+    // blocks every contender regardless). Pending adaptive worms are
+    // never parked, so they re-select here every step exactly like the
+    // legacy stepper.
+    sim.k
+        .contend(&mut sim.worms, st.runnable.iter().copied(), t);
+    let progressed = sim.apply(t);
     // Losers stall, then discard or park. Parking checks the *end-of-step*
     // acquirability: if this step's releases already freed capacity on
     // the wanted edge, the worm stays runnable and re-contends at `t+1`,
     // exactly as the legacy stepper would. *Pending* adaptive worms
     // never park: their wanted edge is a fresh occupancy-dependent
     // selection each step, so no single edge's release is the unique
-    // wake condition — they stay runnable and re-classify like the
-    // legacy stepper. A frozen-route adaptive worm (arrived or committed
-    // to its escape tail) wants the same fixed edge every step, exactly
-    // like an oblivious worm, so it parks normally — keyed by the edge
-    // (static) or its source router (pooled; see `Sim::wait_key`).
-    for i in 0..sim.blocked.len() {
-        let m = sim.blocked[i];
-        sim.outcomes[m as usize].stalls += 1;
+    // wake condition. A frozen-route worm wants the same fixed edge every
+    // step, so it parks normally — keyed by the edge (static) or its
+    // source router (pooled).
+    for i in 0..sim.k.blocked.len() {
+        let m = sim.k.blocked[i];
+        let w = &mut sim.worms[m as usize];
+        w.out.stalls += 1;
         if sim.config.blocked == BlockedPolicy::Discard {
-            sim.discard(m, t, crate::stats::DiscardReason::Delay);
-        } else if !sim.worms[m as usize].pending_route {
-            let e = sim.path_edge(m, sim.worms[m as usize].advance + 1);
-            if !sim.edge_acquirable(e) {
-                let key = sim.wait_key(e);
+            sim.commit_discard(m, t, DiscardReason::Delay);
+        } else if !w.pending_route {
+            let e = w.edge(w.advance + 1);
+            if !sim.k.vc.acquirable(e) {
+                let key = sim.k.vc.wait_key(e);
                 park(sim, st, m, key, t);
             }
         }
     }
     // Wake the waiters of every wait key that released capacity this
-    // step — the edge itself, or under pooling its source router (a
-    // sibling edge's release can return shared credit to every edge of
-    // the router). Woken worms contend from `t+1` (release at `t` is
-    // visible at `t+1`); a waiter whose edge is still blocked just loses
-    // again and re-parks, exactly as the legacy stepper would count it.
-    for i in 0..sim.released.len() {
-        let key = sim.wait_key(sim.released[i] as usize);
-        wake_all(sim, st, key, t);
+    // step. Woken worms contend from `t+1` (release at `t` is visible at
+    // `t+1`); a waiter whose edge is still blocked just loses again and
+    // re-parks, exactly as the legacy stepper would count it.
+    for i in 0..sim.k.vc.released.len() {
+        let key = sim.k.vc.released[i] as usize;
+        wake(sim, st, key, t, t);
     }
     // Retire finished, discarded, and freshly parked worms.
     let before = st.runnable.len();
     let worms = &sim.worms;
-    let outcomes = &sim.outcomes;
     let parked = &st.parked;
-    st.runnable.retain(|&m| {
-        !worms[m as usize].done() && outcomes[m as usize].discarded.is_none() && !parked[m as usize]
-    });
+    st.runnable
+        .retain(|&m| !worms[m as usize].retired() && !parked[m as usize]);
     if st.runnable.len() != before {
         st.indep_cached = None;
     }
-    sim.settle_max_vcs();
-    // A fault discard is progress for the deadlock test: it released VCs
-    // mid-step, so blocked worms may advance at `t+1`.
-    moved || !sim.doomed.is_empty()
+    sim.k.vc.settle_max();
+    progressed
 }
 
 fn park(sim: &mut Sim, st: &mut EventState, m: u32, key: usize, t: u64) {
@@ -323,14 +271,19 @@ fn park(sim: &mut Sim, st: &mut EventState, m: u32, key: usize, t: u64) {
     st.parked_at[mi] = t;
     st.n_parked += 1;
     st.indep_cached = None;
-    sim.track_releases = true;
+    sim.k.vc.track_releases = true;
 }
 
 /// Unparks every waiter of wait key `key` (an edge, or a router under
-/// pooling), settling their arithmetic stalls. A worm parked earlier
-/// this same step is still in `runnable` and is only unflagged. Repeated
-/// calls for one key in one step are cheap no-ops (the list is taken).
-fn wake_all(sim: &mut Sim, st: &mut EventState, key: usize, t: u64) {
+/// pooling) during step `now`, settling their arithmetic stalls through
+/// step `through`. At the end of a step (`through == now`) a worm parked
+/// during that same step is still in `runnable` and is only unflagged;
+/// woken worms contend from `now + 1`. The kill hook runs at the
+/// **start** of step `now` (`through == now − 1`): a kill discard's
+/// releases behave like releases during `now − 1`, so woken worms
+/// contend at `now` itself and no stall is counted for it. Repeated calls
+/// for one key in one step are cheap no-ops (the list is taken).
+fn wake(sim: &mut Sim, st: &mut EventState, key: usize, through: u64, now: u64) {
     let mut m = st.waiter_head[key];
     st.waiter_head[key] = NONE;
     while m != NONE {
@@ -342,8 +295,8 @@ fn wake_all(sim: &mut Sim, st: &mut EventState, key: usize, t: u64) {
         if st.parked[mi] {
             st.parked[mi] = false;
             st.n_parked -= 1;
-            sim.outcomes[mi].stalls += t - st.parked_at[mi];
-            if st.parked_at[mi] < t {
+            sim.worms[mi].out.stalls += through - st.parked_at[mi];
+            if st.parked_at[mi] < now {
                 st.runnable.push(m);
             }
             st.indep_cached = None;
@@ -351,33 +304,7 @@ fn wake_all(sim: &mut Sim, st: &mut EventState, key: usize, t: u64) {
         m = next;
     }
     if st.n_parked == 0 {
-        sim.track_releases = false;
-    }
-}
-
-/// Kill-hook variant of [`wake_all`]: runs at the **start** of step `t`
-/// (before classification), so woken worms contend at `t` itself — a
-/// kill discard's releases behave like releases during `t − 1`. Stalls
-/// settle through `t − 1`: the legacy stepper counts no stall at `t` for
-/// a worm that re-contends at `t`. Every parked worm here parked at an
-/// earlier step, so it is never still in `runnable`.
-fn wake_at_step_start(sim: &mut Sim, st: &mut EventState, key: usize, t: u64) {
-    let mut m = st.waiter_head[key];
-    st.waiter_head[key] = NONE;
-    while m != NONE {
-        let mi = m as usize;
-        let next = std::mem::replace(&mut st.next_waiter[mi], NONE);
-        if st.parked[mi] {
-            st.parked[mi] = false;
-            st.n_parked -= 1;
-            sim.outcomes[mi].stalls += (t - 1) - st.parked_at[mi];
-            st.runnable.push(m);
-            st.indep_cached = None;
-        }
-        m = next;
-    }
-    if st.n_parked == 0 {
-        sim.track_releases = false;
+        sim.k.vc.track_releases = false;
     }
 }
 
@@ -389,7 +316,7 @@ fn top_up_stalls(sim: &mut Sim, st: &mut EventState, through: u64) {
     }
     for m in 0..st.parked.len() {
         if st.parked[m] {
-            sim.outcomes[m].stalls += through - st.parked_at[m];
+            sim.worms[m].out.stalls += through - st.parked_at[m];
         }
     }
 }
@@ -413,12 +340,9 @@ fn ff_stop(sim: &mut Sim, t: u64) -> u64 {
 }
 
 fn all_draining(sim: &Sim, st: &EventState) -> bool {
-    st.runnable.iter().all(|&m| {
-        let w = &sim.worms[m as usize];
-        // A pending adaptive worm at `advance == hops` is awaiting its
-        // next hop, not draining.
-        !w.pending_route && w.advance >= w.hops
-    })
+    st.runnable
+        .iter()
+        .all(|&m| sim.worms[m as usize].draining())
 }
 
 /// Whether the runnable worms' paths are pairwise edge-disjoint **and**
@@ -441,14 +365,14 @@ fn independent(sim: &Sim, st: &mut EventState) -> bool {
     st.mark_epoch += 1;
     let mut ok = true;
     'scan: for &m in &st.runnable {
-        for e in sim.specs[m as usize].path.edges() {
+        for e in sim.worms[m as usize].route.edges() {
             let mark = &mut st.edge_mark[e.idx()];
             if *mark == st.mark_epoch {
                 ok = false;
                 break 'scan;
             }
             *mark = st.mark_epoch;
-            let nmark = &mut st.node_mark[sim.edge_src[e.idx()] as usize];
+            let nmark = &mut st.node_mark[sim.graph.src(*e).idx()];
             if *nmark == st.mark_epoch {
                 ok = false;
                 break 'scan;
@@ -464,7 +388,7 @@ fn independent(sim: &Sim, st: &mut EventState) -> bool {
 /// pairwise disjoint — the caller guarantees one of the two and that
 /// nothing is parked): each worm independently free-runs to
 /// `min(next release, cap, finish)` — header advances in an `O(1)`
-/// per-step loop, drain phases collapsed by [`Sim::fast_drain`] — then
+/// per-step loop, drain phases collapsed by [`Sim::commit_drain`] — then
 /// simulated time jumps to the stop point. Returns whether time moved.
 fn ff_batch(sim: &mut Sim, st: &mut EventState, t: &mut u64) -> bool {
     let stop = ff_stop(sim, *t);
@@ -481,10 +405,10 @@ fn ff_batch(sim: &mut Sim, st: &mut EventState, t: &mut u64) -> bool {
                 break;
             }
             if w.advance >= w.hops {
-                sim.fast_drain(m, &mut ti, stop);
+                sim.commit_drain(m, &mut ti, stop);
             } else {
-                sim.apply_advance(m, ti);
-                sim.settle_max_vcs();
+                sim.commit_advance(m, ti);
+                sim.k.vc.settle_max();
                 ti += 1;
             }
         }
@@ -515,9 +439,8 @@ fn validate(sim: &mut Sim, st: &EventState) {
         if st.parked[m] {
             n += 1;
             let w = &sim.worms[m];
-            let e = sim.path_edge(m as u32, w.advance + 1);
             assert!(
-                !sim.edge_acquirable(e),
+                !sim.k.vc.acquirable(w.edge(w.advance + 1)),
                 "parked worm {m} waits on an acquirable edge"
             );
         }

@@ -24,9 +24,9 @@
 //!
 //! # Why a window is exactly the sequential steps it replaces
 //!
-//! Within a window each region runs the same classify → arbitrate →
-//! apply phases as [`Sim::step_full_bandwidth`], one step at a time,
-//! over the worms *resident* in it (a worm resides in the region owning
+//! Within a window each region runs the step kernel's classify →
+//! arbitrate → apply phases — the same calls the sequential drivers
+//! make — one step at a time, over the worm records *resident* in it (a worm resides in the region owning
 //! its next wanted edge; draining worms stay where they finished
 //! acquiring; a pending adaptive worm resides in its head node's
 //! region). The grant construction guarantees that for every step of
@@ -60,8 +60,7 @@
 //! counts settle arithmetically at wake (`t − parked_at`), making the
 //! per-step cost proportional to movers and wakeups, not residents.
 //! When every runnable resident is draining and the queue is empty,
-//! the region batch-advances them with [`Sim::fast_drain`]'s
-//! closed-form release/flit-hop formulas; and when a step moves
+//! the region batch-advances them with the kernel's closed-form drain; and when a step moves
 //! nothing the region is *frozen* — provably identical until the
 //! window ends (releases only come from moves, and nothing external
 //! arrives mid-window) — so it stops stepping and the coordinator tops
@@ -70,12 +69,14 @@
 //! sequential deadlock verdict at the exact step the last region
 //! froze.
 //!
-//! Between windows the coordinator merges outboxes in region-index
-//! order: remote releases (possible only in one-step windows, where a
-//! worm may hold a foreign edge) land before the occupancy maxima are
-//! sampled, finished/discarded worms retire into the per-id outcome
-//! table (their completion callbacks flushed in canonical `(time, id)`
-//! order, as always), and worms whose next wanted edge crossed the cut
+//! Each region owns its own VC table, and worm records move whole: into
+//! a region at admission, between regions at handoff, and back into the
+//! per-id table at retirement. Between windows the coordinator merges
+//! outboxes in region-index order: remote releases (possible only in
+//! one-step windows, where a worm may hold a foreign edge) land before
+//! the occupancy maxima are sampled, finished/discarded worms retire
+//! into the per-id table (their completion callbacks flushed in
+//! canonical `(time, id)` order, as always), and worms whose next wanted edge crossed the cut
 //! migrate. Admissions happen at window starts only — the grant never
 //! extends past the source's next release, and a reactive source pins
 //! the window to one step. Every cross-region effect is therefore
@@ -98,23 +99,19 @@
 //!
 //! [`Engine::Parallel`]: crate::config::Engine::Parallel
 //! [`SimConfig::regions`]: crate::config::SimConfig::regions
-//! [`order_contenders`]: crate::wormhole::order_contenders
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
-
-use rand::prelude::*;
+use std::sync::{Barrier, Mutex, MutexGuard};
 
 use wormhole_topology::adaptive::AdaptiveRouter;
-use wormhole_topology::graph::{EdgeId, Graph, NodeId};
+use wormhole_topology::graph::Graph;
 use wormhole_topology::region::RegionPlan;
 
-use crate::config::{
-    Arbitration, BlockedPolicy, FinalEdgePolicy, RouteSelection, SimConfig, VcPolicy,
-};
+use crate::config::{BlockedPolicy, SimConfig};
 use crate::events::DeadlockReport;
-use crate::stats::{DiscardReason, MessageOutcome, Outcome};
-use crate::wormhole::{arb_rng, FlatBuckets, SelectedHop, Sim, Worm};
+use crate::kernel::{Kernel, VcTable, Worm};
+use crate::stats::{DiscardReason, Outcome};
+use crate::wormhole::Sim;
 
 /// Default region count when [`SimConfig::regions`] is `None`
 /// (clamped to the node count by [`RegionPlan::contiguous`]).
@@ -123,17 +120,14 @@ use crate::wormhole::{arb_rng, FlatBuckets, SelectedHop, Sim, Worm};
 const DEFAULT_REGIONS: u32 = 8;
 
 /// Immutable per-run lookup state shared by the coordinator and every
-/// worker: the configuration, the region layout, the lookahead matrix,
-/// and the VC-policy decomposition. Borrowing this never conflicts with
-/// the coordinator's `&mut Sim` — everything is copied out of the
-/// [`Sim`] or borrows run-outliving state (config, graph, router).
+/// worker: the configuration, the region layout and the lookahead.
+/// Everything borrows run-outliving state (config, graph, router), so
+/// it never conflicts with the coordinator's `&mut Sim`.
 struct Ctx<'a> {
     config: &'a SimConfig,
     graph: &'a Graph,
-    /// Edge → source-router index (`graph.edge_sources()` copy).
-    edge_src: Vec<u32>,
-    /// Edge → destination-node index.
-    edge_dst: Vec<u32>,
+    /// Adaptive routing only: the shared hop-selection router.
+    router: Option<&'a dyn AdaptiveRouter>,
     /// Edge → owning region (= region of the source router).
     edge_region: Vec<u32>,
     /// Node → owning region ([`RegionPlan::node_regions`] copy).
@@ -141,40 +135,11 @@ struct Ctx<'a> {
     /// Node → minimum flit steps before a header there can traverse a
     /// cross-region edge ([`RegionPlan::distance_to_cut`]).
     dist_to_cut: Vec<u64>,
-    /// Adaptive routing only: the shared hop-selection router.
-    router: Option<&'a dyn AdaptiveRouter>,
-    /// Adaptive routing only: `FullyAdaptive` (misroutes allowed).
-    fully: bool,
-    /// Pooled only: each router's shared-portion capacity.
-    shared_cap: Vec<u32>,
-    pooled: bool,
-    per_edge_min: u32,
-    per_edge_max: u32,
-    num_edges: usize,
-    num_nodes: usize,
 }
 
 impl<'a> Ctx<'a> {
     fn new(sim: &Sim<'a>, plan: &RegionPlan) -> Ctx<'a> {
         let graph = sim.graph;
-        let config = sim.config;
-        let (pooled, per_edge_min, per_edge_max, pool) = match config.vc_policy {
-            VcPolicy::Static(b) => (false, b, b, 0),
-            VcPolicy::RouterPooled {
-                pool,
-                per_edge_min,
-                per_edge_max,
-            } => (true, per_edge_min, per_edge_max, pool),
-        };
-        // `Sim::new` already validated the pool covers every floor.
-        let shared_cap = if pooled {
-            graph
-                .nodes()
-                .map(|v| pool - per_edge_min * graph.out_degree(v) as u32)
-                .collect()
-        } else {
-            Vec::new()
-        };
         let node_region = plan.node_regions().to_vec();
         let edge_region = graph
             .edge_sources()
@@ -182,85 +147,30 @@ impl<'a> Ctx<'a> {
             .map(|&s| node_region[s as usize])
             .collect();
         Ctx {
-            config,
+            config: sim.config,
             graph,
-            edge_src: graph.edge_sources().to_vec(),
-            edge_dst: graph.edges().map(|e| graph.dst(e).0).collect(),
+            router: sim.k.router,
             edge_region,
             node_region,
             dist_to_cut: plan.distance_to_cut(graph),
-            router: sim.adaptive.as_ref().map(|ad| ad.router),
-            fully: config.route_selection == RouteSelection::FullyAdaptive,
-            shared_cap,
-            pooled,
-            per_edge_min,
-            per_edge_max,
-            num_edges: graph.num_edges(),
-            num_nodes: graph.num_nodes(),
         }
     }
-}
 
-/// Whether crossing 1-based path edge `edge_1based` requires a VC —
-/// [`Sim::needs_vc`] over the region-resident worm copy.
-#[inline]
-fn needs_vc(ctx: &Ctx, w: &Worm, edge_1based: u32) -> bool {
-    edge_1based < w.hops || w.pending_route || ctx.config.final_edge == FinalEdgePolicy::RequiresVc
-}
-
-/// A worm resident in a region: the rigid-worm kinematics plus
-/// everything the region needs to arbitrate, route, and retire it
-/// without touching shared per-id tables (those are written once, at
-/// retirement or write-back, by the coordinator).
-struct RWorm {
-    /// Message id.
-    id: u32,
-    worm: Worm,
-    /// Spec release time (the `OldestFirst` arbitration key).
-    release: u64,
-    /// Spec priority (the `PriorityRank` arbitration key).
-    priority: u32,
-    /// The route as global edge ids (copied at admission — worms
-    /// migrate between regions, specs don't). Grows hop by hop while
-    /// `pending_route` is set.
-    path: Vec<u32>,
-    /// Injection node (adaptive head position at `advance == 0`).
-    src: u32,
-    /// Destination node (adaptive arrival test).
-    dst: u32,
-    /// Remaining misroute budget (`FullyAdaptive`).
-    budget: u32,
-    /// This step's wanted-hop selection (pending worms only).
-    selected: SelectedHop,
-    /// The per-message outcome, carried with the worm and written back
-    /// to `Sim::outcomes` at retirement / run end.
-    out: MessageOutcome,
-    /// Retired (finished or discarded) this step; dropped by the sweep.
-    gone: bool,
-    /// Blocked on a provably full edge this step; the sweep moves it to
-    /// the region's wait queue instead of the runnable list.
-    park: bool,
-    /// Cached "[`worm_bound`] is `u64::MAX`": set by the coordinator at
-    /// admission/handoff for a non-pending worm whose held and future
-    /// path edges are all region-local. Absorbing while resident — held
-    /// edges only march forward along the (fixed, all-local) path — so
-    /// the hot park/window-end paths skip the O(path) rescan.
-    local_path: bool,
-}
-
-impl RWorm {
-    /// The head's current node (pending worms: where selection runs).
-    #[inline]
-    fn head_node(&self, ctx: &Ctx) -> usize {
-        if self.worm.advance == 0 {
-            self.src as usize
+    /// The region a worm belongs to: its head node's region while the
+    /// route is pending, `here` while it drains (it has no wanted edge
+    /// left), the owner of its next wanted edge otherwise.
+    fn home(&self, w: &Worm, here: u32) -> u32 {
+        if w.pending_route {
+            self.node_region[w.head_node(self.graph).idx()]
+        } else if w.advance >= w.hops {
+            here
         } else {
-            ctx.edge_dst[self.path[self.worm.advance as usize - 1] as usize] as usize
+            self.edge_region[w.edge(w.advance + 1)]
         }
     }
 }
 
-/// How many steps worm `rw`, resident in region `home`, can run before
+/// How many steps worm `w`, resident in region `home`, can run before
 /// it could first touch (acquire, release, or contend for) an edge
 /// owned by another region — the per-worm refinement of the plan's
 /// lookahead, and the quantity the window grant minimizes over.
@@ -275,55 +185,35 @@ impl RWorm {
 /// * An in-flight oblivious worm advances one hop per step, so its
 ///   first foreign path edge at 1-based index `j` cannot be contended
 ///   before relative step `j − 1 − advance`.
-fn worm_bound(ctx: &Ctx, rw: &RWorm, home: u32) -> u64 {
-    let w = &rw.worm;
+fn worm_bound(ctx: &Ctx, w: &Worm, home: u32) -> u64 {
     let (lo, hi) = w.held_range();
-    for j in lo..=hi {
-        if needs_vc(ctx, w, j) && ctx.edge_region[rw.path[j as usize - 1] as usize] != home {
-            return 1;
-        }
+    let fe = ctx.config.final_edge;
+    if (lo..=hi).any(|j| w.needs_vc(fe, j) && ctx.edge_region[w.edge(j)] != home) {
+        return 1;
     }
     if w.pending_route {
-        return ctx.dist_to_cut[rw.head_node(ctx)].max(1);
+        return ctx.dist_to_cut[w.head_node(ctx.graph).idx()].max(1);
     }
     if w.advance >= w.hops {
         return u64::MAX;
     }
     debug_assert_eq!(
-        ctx.edge_region[rw.path[w.advance as usize] as usize], home,
+        ctx.edge_region[w.edge(w.advance + 1)],
+        home,
         "resident worm's next wanted edge is foreign"
     );
-    for j in (w.advance + 2)..=w.hops {
-        if ctx.edge_region[rw.path[j as usize - 1] as usize] != home {
-            return (j - 1 - w.advance) as u64;
-        }
-    }
-    u64::MAX
+    ((w.advance + 2)..=w.hops)
+        .find(|&j| ctx.edge_region[w.edge(j)] != home)
+        .map_or(u64::MAX, |j| (j - 1 - w.advance) as u64)
 }
 
 /// No waiter — the wait-queue chain terminator.
 const NONE: u32 = u32::MAX;
 
-/// The park/wake key for a worm blocked on edge `e` —
-/// [`Sim::wait_key`]'s rule over the region copy: the edge itself
-/// under the static policy (only a release there can unblock it), the
-/// source router under pooling (a release on any sibling edge can
-/// return shared credit). Both live in the blocked worm's own region:
-/// the wanted edge defines residency, and an edge's region is its
-/// source router's.
-#[inline]
-fn wait_key(ctx: &Ctx, e: usize) -> usize {
-    if ctx.pooled {
-        ctx.edge_src[e] as usize
-    } else {
-        e
-    }
-}
-
 /// A slab entry in a region's wait queue: a parked worm plus the
-/// intrusive chain link. `rw == None` marks a free slot.
+/// intrusive chain link. `w == None` marks a free slot.
 struct ParkSlot {
-    rw: Option<RWorm>,
+    w: Option<Worm>,
     /// The step the worm parked at (its stall for that step is already
     /// counted); a wake at `t` settles the skipped steps arithmetically
     /// as `t - parked_at`.
@@ -332,52 +222,27 @@ struct ParkSlot {
     next: u32,
 }
 
-/// A completed or discarded worm, handed to the coordinator.
-struct Retired {
-    id: u32,
-    /// Final kinematics (makes `Worm::done` true for delivered worms
-    /// once written back; adaptive worms also carry their final `hops`
-    /// and cleared `pending_route`).
-    worm: Worm,
-    /// Completion time: `t + 1` for deliveries, `t` for discards —
-    /// the same stamps the sequential engines record.
-    time: u64,
-    delivered: bool,
-    out: MessageOutcome,
-}
-
-/// One region's owned state: holder/pool counters for its edges and
-/// routers (full-size arrays indexed by *global* ids — foreign entries
-/// stay zero, so ascending local edge order is ascending global order
-/// for free), its resident worms, per-step scratch, and the outboxes
-/// the coordinator drains between windows.
-struct Region {
+/// One region's owned state: the step kernel over a VC table for its
+/// edges and routers (full-size arrays indexed by *global* ids — foreign
+/// entries stay zero, so ascending local edge order is ascending global
+/// order for free), its resident worm records, and the outboxes the
+/// coordinator drains between windows (remote releases live in the
+/// table's `remote` list).
+struct Region<'c> {
     idx: u32,
-    holders: Vec<u16>,
-    pool_used: Vec<u32>,
-    shared_used: Vec<u32>,
-    planned_shared: Vec<u32>,
-    touched_routers: Vec<u32>,
-    group_order: Vec<u32>,
-    buckets: FlatBuckets,
-    worms: Vec<RWorm>,
+    k: Kernel<'c>,
+    worms: Vec<Worm>,
     /// Swap buffer for the retire/handoff sweep (keeps capacity).
-    scratch: Vec<RWorm>,
-    /// Winner indices into `worms` this step.
-    movers: Vec<u32>,
-    /// Loser indices into `worms` this step.
-    blocked: Vec<u32>,
-    /// Global edge ids acquired this step (drained by `settle_max`).
-    acquired: Vec<u32>,
-    /// Candidate scratch for adaptive hop selection.
-    cand: Vec<(EdgeId, bool)>,
-    /// Outbox: releases targeting edges owned by other regions (only
-    /// possible in one-step windows).
-    remote_releases: Vec<u32>,
+    scratch: Vec<Worm>,
+    /// This step's losers to park, indexed like `worms`; read by the
+    /// sweep.
+    park_mark: Vec<bool>,
     /// Outbox: worms whose next wanted edge crossed the cut.
-    handoffs: Vec<(u32, RWorm)>,
-    /// Outbox: worms that finished or were discarded this window.
-    retired: Vec<Retired>,
+    handoffs: Vec<(u32, Worm)>,
+    /// Outbox: worms that finished or were discarded this window, with
+    /// their completion time — `t + 1` for deliveries, `t` for discards,
+    /// the same stamps the sequential engines record.
+    retired: Vec<(Worm, u64)>,
     /// The per-region event queue: worms blocked on a full edge under
     /// [`BlockedPolicy::Stall`] park here (slab + per-key intrusive
     /// chains) instead of re-contending every step, exactly as in the
@@ -388,13 +253,12 @@ struct Region {
     /// Free slots in `park_slab`.
     free_slots: Vec<u32>,
     /// Head slot of each wait key's chain ([`NONE`] = no waiters).
-    /// Keyed by global edge id (static) or router id (pooled); blocked
-    /// worms only ever wait on region-owned keys.
+    /// Blocked worms only ever wait on region-owned keys: the wanted
+    /// edge defines residency, and an edge's region is its source
+    /// router's.
     waiter_head: Vec<u32>,
     /// Live entries in `park_slab`.
     n_parked: usize,
-    /// Wait keys released since the last wake pass.
-    released_keys: Vec<u32>,
     /// Running minimum [`worm_bound`] over the parked population
     /// (monotone while any worm stays parked; reset when the queue
     /// empties). Folding this into `safe` keeps the window grant sound
@@ -413,145 +277,30 @@ struct Region {
     /// cross edge (minimum [`worm_bound`]; refreshed at window end and
     /// tightened by the coordinator on every handoff/admission).
     safe: u64,
-    max_vcs: u16,
-    max_pool: u32,
-    flit_hops: u64,
-    escape_fallbacks: u64,
-    misroute_hops: u64,
 }
 
-/// Orders contender *indices* into `worms` by the canonical
-/// [`order_contenders`](crate::wormhole::order_contenders) keys. Every
-/// key starts with (or is) the message id, and ids are unique, so the
-/// sorted index sequence corresponds position-for-position to the
-/// sorted id sequence the sequential engines produce — including under
-/// `Random`, whose Fisher–Yates shuffle permutes positions identically
-/// (it is keyed by the global `(seed, step, edge)` tuple, never by the
-/// worker).
-fn order_contenders_local(ctx: &Ctx, worms: &[RWorm], t: u64, e: usize, contenders: &mut [u32]) {
-    match ctx.config.arbitration {
-        Arbitration::FifoById => contenders.sort_unstable_by_key(|&i| worms[i as usize].id),
-        Arbitration::OldestFirst => {
-            contenders.sort_unstable_by_key(|&i| {
-                let w = &worms[i as usize];
-                (w.release, w.id)
-            });
-        }
-        Arbitration::PriorityRank => {
-            contenders.sort_unstable_by_key(|&i| {
-                let w = &worms[i as usize];
-                (w.priority, w.id)
-            });
-        }
-        Arbitration::Random => {
-            contenders.sort_unstable_by_key(|&i| worms[i as usize].id);
-            contenders.shuffle(&mut arb_rng(ctx.config.seed, t, e));
-        }
-    }
-}
-
-impl Region {
-    fn new(idx: u32, ctx: &Ctx) -> Region {
+impl<'c> Region<'c> {
+    fn new(idx: u32, ctx: &'c Ctx<'_>) -> Region<'c> {
+        let vc = VcTable::new(ctx.graph, ctx.config.vc_policy).owned_by(&ctx.edge_region, idx);
+        let n_keys = vc.num_wait_keys();
         Region {
             idx,
-            holders: vec![0; ctx.num_edges],
-            pool_used: vec![0; ctx.num_nodes],
-            shared_used: vec![0; if ctx.pooled { ctx.num_nodes } else { 0 }],
-            planned_shared: vec![0; if ctx.pooled { ctx.num_nodes } else { 0 }],
-            touched_routers: Vec::new(),
-            group_order: Vec::new(),
-            buckets: FlatBuckets::with_edges(ctx.num_edges),
+            k: Kernel::new(ctx.config, ctx.router, vc),
             worms: Vec::new(),
             scratch: Vec::new(),
-            movers: Vec::new(),
-            blocked: Vec::new(),
-            acquired: Vec::new(),
-            cand: Vec::new(),
-            remote_releases: Vec::new(),
+            park_mark: Vec::new(),
             handoffs: Vec::new(),
             retired: Vec::new(),
             park_slab: Vec::new(),
             free_slots: Vec::new(),
-            waiter_head: vec![
-                NONE;
-                if ctx.pooled {
-                    ctx.num_nodes
-                } else {
-                    ctx.num_edges
-                }
-            ],
+            waiter_head: vec![NONE; n_keys],
             n_parked: 0,
-            released_keys: Vec::new(),
             parked_safe: u64::MAX,
             moved: false,
             last_move_plus1: 0,
             static_from: u64::MAX,
             safe: u64::MAX,
-            max_vcs: 0,
-            max_pool: 0,
-            flit_hops: 0,
-            escape_fallbacks: 0,
-            misroute_hops: 0,
         }
-    }
-
-    /// [`Sim::free_vcs`] over this region's counters (no dead edges —
-    /// faulted configurations never reach the parallel engine).
-    #[inline]
-    fn free_vcs(&self, ctx: &Ctx, e: usize) -> u32 {
-        let h = self.holders[e] as u32;
-        let cap_free = ctx.per_edge_max.saturating_sub(h);
-        if !ctx.pooled {
-            return cap_free;
-        }
-        let r = ctx.edge_src[e] as usize;
-        let floor_free = ctx.per_edge_min.saturating_sub(h);
-        cap_free.min(floor_free + (ctx.shared_cap[r] - self.shared_used[r]))
-    }
-
-    /// [`Sim::acquire_vc`] on an owned edge (winners always acquire
-    /// locally: their wanted edge defines their residency).
-    #[inline]
-    fn acquire(&mut self, ctx: &Ctx, e: usize) {
-        debug_assert_eq!(ctx.edge_region[e], self.idx, "acquire on a foreign edge");
-        let h = self.holders[e];
-        self.holders[e] = h + 1;
-        let r = ctx.edge_src[e] as usize;
-        self.pool_used[r] += 1;
-        if ctx.pooled && h as u32 >= ctx.per_edge_min {
-            self.shared_used[r] += 1;
-        }
-        debug_assert!(self.holders[e] as u32 <= ctx.per_edge_max);
-    }
-
-    /// Releases one VC on `e`: locally if this region owns the edge,
-    /// otherwise via the outbox (applied between windows — the `t + 1`
-    /// visibility every sequential mid-step release has). Foreign
-    /// releases imply a held foreign edge, whose 1-step [`worm_bound`]
-    /// guarantees the window was a single step.
-    #[inline]
-    fn release(&mut self, ctx: &Ctx, e: usize) {
-        if ctx.edge_region[e] == self.idx {
-            self.release_local(ctx, e);
-        } else {
-            self.remote_releases.push(e as u32);
-        }
-    }
-
-    /// [`Sim::release_vc`] on an owned edge (also the coordinator's
-    /// entry point for applying another region's outbox entry). Records
-    /// the wait key so the next [`Self::wake_parked`] pass can unpark
-    /// the waiters the release may have unblocked.
-    #[inline]
-    fn release_local(&mut self, ctx: &Ctx, e: usize) {
-        let h = self.holders[e];
-        self.holders[e] = h - 1;
-        let r = ctx.edge_src[e] as usize;
-        self.pool_used[r] -= 1;
-        if ctx.pooled && h as u32 > ctx.per_edge_min {
-            self.shared_used[r] -= 1;
-        }
-        self.released_keys.push(wait_key(ctx, e) as u32);
     }
 
     /// Whether any worm still lives in this region — runnable or
@@ -563,36 +312,44 @@ impl Region {
         !self.worms.is_empty() || self.n_parked > 0
     }
 
-    /// Moves `rw`, blocked at step `t` on its (provably full) wanted
+    /// Every resident record, runnable then parked.
+    fn residents(&self) -> impl Iterator<Item = &Worm> + Clone {
+        let parked = self.park_slab.iter().filter_map(|s| s.w.as_ref());
+        self.worms.iter().chain(parked)
+    }
+
+    /// Moves every resident record back into its id slot of `table`.
+    fn evict(&mut self, table: &mut [Worm]) {
+        let parked = self.park_slab.drain(..).filter_map(|s| s.w);
+        for w in self.worms.drain(..).chain(parked) {
+            let id = w.id as usize;
+            table[id] = w;
+        }
+    }
+
+    /// Moves `w`, blocked at step `t` on its (provably full) wanted
     /// edge, onto the wait queue. Its stall for step `t` is already
     /// counted; the skipped steps settle arithmetically at wake.
-    fn park_worm(&mut self, ctx: &Ctx, mut rw: RWorm, t: u64) {
-        rw.park = false;
-        if !rw.local_path {
-            self.parked_safe = self.parked_safe.min(worm_bound(ctx, &rw, self.idx));
+    fn park_worm(&mut self, ctx: &Ctx, w: Worm, t: u64) {
+        if !w.local_path {
+            self.parked_safe = self.parked_safe.min(worm_bound(ctx, &w, self.idx));
         }
-        let e = rw.path[rw.worm.advance as usize] as usize;
-        let key = wait_key(ctx, e);
-        let next = self.waiter_head[key];
-        let slot = match self.free_slots.pop() {
+        let key = self.k.vc.wait_key(w.edge(w.advance + 1));
+        let entry = ParkSlot {
+            w: Some(w),
+            parked_at: t,
+            next: self.waiter_head[key],
+        };
+        self.waiter_head[key] = match self.free_slots.pop() {
             Some(s) => {
-                self.park_slab[s as usize] = ParkSlot {
-                    rw: Some(rw),
-                    parked_at: t,
-                    next,
-                };
+                self.park_slab[s as usize] = entry;
                 s
             }
             None => {
-                self.park_slab.push(ParkSlot {
-                    rw: Some(rw),
-                    parked_at: t,
-                    next,
-                });
+                self.park_slab.push(entry);
                 (self.park_slab.len() - 1) as u32
             }
         };
-        self.waiter_head[key] = slot;
         self.n_parked += 1;
     }
 
@@ -604,22 +361,21 @@ impl Region {
     /// it re-contends at `t + 1`, exactly when the release becomes
     /// visible sequentially. Waking is conservative: a still-blocked
     /// worm re-parks after its next (stall-counted) step.
-    fn wake_parked(&mut self, _ctx: &Ctx, t: u64) {
+    fn wake_parked(&mut self, t: u64) {
         if self.n_parked == 0 {
-            self.released_keys.clear();
+            self.k.vc.released.clear();
             return;
         }
-        while let Some(k) = self.released_keys.pop() {
-            let mut slot = self.waiter_head[k as usize];
-            self.waiter_head[k as usize] = NONE;
+        while let Some(key) = self.k.vc.released.pop() {
+            let mut slot = std::mem::replace(&mut self.waiter_head[key as usize], NONE);
             while slot != NONE {
                 let s = &mut self.park_slab[slot as usize];
                 let next = s.next;
-                let mut rw = s.rw.take().expect("free slot on a waiter chain");
-                rw.out.stalls += t - s.parked_at;
+                let mut w = s.w.take().expect("free slot on a waiter chain");
+                w.out.stalls += t - s.parked_at;
                 self.free_slots.push(slot);
                 self.n_parked -= 1;
-                self.worms.push(rw);
+                self.worms.push(w);
                 slot = next;
             }
         }
@@ -636,27 +392,16 @@ impl Region {
         if self.n_parked == 0 {
             return;
         }
-        for slot in &mut self.park_slab {
-            if let Some(mut rw) = slot.rw.take() {
-                rw.out.stalls += through.saturating_sub(slot.parked_at);
-                self.worms.push(rw);
+        for slot in self.park_slab.drain(..) {
+            if let Some(mut w) = slot.w {
+                w.out.stalls += through.saturating_sub(slot.parked_at);
+                self.worms.push(w);
             }
         }
-        for h in &mut self.waiter_head {
-            *h = NONE;
-        }
-        self.park_slab.clear();
+        self.waiter_head.fill(NONE);
         self.free_slots.clear();
         self.n_parked = 0;
         self.parked_safe = u64::MAX;
-    }
-
-    /// Whether every resident is draining (`advance ≥ hops`, route
-    /// frozen) — the trigger for the closed-form fast-forward.
-    fn all_draining(&self) -> bool {
-        self.worms
-            .iter()
-            .all(|w| !w.worm.pending_route && w.worm.advance >= w.worm.hops)
     }
 
     /// Runs this region through the window `[t0, end)` without touching
@@ -685,8 +430,8 @@ impl Region {
                 }
                 break;
             }
-            if local_settle && self.n_parked == 0 && self.all_draining() {
-                self.fast_drain_all(ctx, t, end);
+            if local_settle && self.n_parked == 0 && self.worms.iter().all(Worm::draining) {
+                self.drain_all(ctx, t, end);
                 break;
             }
             self.step(ctx, t);
@@ -694,7 +439,7 @@ impl Region {
                 self.last_move_plus1 = t + 1;
             }
             if local_settle {
-                self.settle_max(ctx);
+                self.k.vc.settle_max();
             }
             if !self.moved
                 && ctx.config.blocked == BlockedPolicy::Stall
@@ -711,452 +456,99 @@ impl Region {
             t += 1;
         }
         let mut safe = self.parked_safe;
-        for w in &self.worms {
-            if !w.local_path {
-                safe = safe.min(worm_bound(ctx, w, self.idx));
-            }
+        for w in self.worms.iter().filter(|w| !w.local_path) {
+            safe = safe.min(worm_bound(ctx, w, self.idx));
         }
         self.safe = safe;
     }
 
     /// Batch-advances an all-draining population from `t` to `end` (or
-    /// each worm's finish, whichever is first) — [`Sim::fast_drain`]'s
-    /// closed-form flit-hop sum and tail-release sequence, applied
-    /// region-locally. Safe because drains acquire nothing and only
-    /// release held edges, which the window grant proved local (except
-    /// in one-step windows, where `release` falls back to the outbox).
-    fn fast_drain_all(&mut self, ctx: &Ctx, t: u64, end: u64) {
-        debug_assert!(t < end);
+    /// each worm's finish, whichever is first) with the kernel's closed
+    /// form. Safe because drains acquire nothing and only release held
+    /// edges, which the window grant proved local.
+    fn drain_all(&mut self, ctx: &Ctx, t: u64, end: u64) {
         debug_assert_eq!(self.n_parked, 0, "fast drain with a populated wait queue");
-        for wi in 0..self.worms.len() {
-            let (hops, length, a0) = {
-                let w = &self.worms[wi].worm;
-                (w.hops, w.length, w.advance)
-            };
-            let fin_a = hops + length - 1;
-            let k = ((fin_a - a0) as u64).min(end - t);
+        for w in &mut self.worms {
+            let k = self.k.drain(w, t, end);
             debug_assert!(k > 0, "a finished worm survived the sweep");
-            let a1 = a0 + k as u32;
-            // flit_hops: Σ width(a) for a ∈ (a0, a1]; width(a) = hops
-            // while a ≤ L (the tail is still injecting), hops + L − a
-            // after.
-            {
-                let (d, l) = (hops as u64, length as u64);
-                let (a0, a1) = (a0 as u64, a1 as u64);
-                let flat_hi = a1.min(l);
-                if flat_hi > a0 {
-                    self.flit_hops += d * (flat_hi - a0);
-                }
-                let s = a0.max(l) + 1;
-                if a1 >= s {
-                    let (w_hi, w_lo) = (d + l - s, d + l - a1);
-                    self.flit_hops += (w_hi + w_lo) * (a1 - s + 1) / 2;
-                }
-            }
-            // The tail leaves edges (a0+1−L ..= a1−L) ∩ [1, hops−1].
-            if a1 > length {
-                let lo = (a0 + 1).saturating_sub(length).max(1);
-                for rel in lo..=a1 - length {
-                    if needs_vc(ctx, &self.worms[wi].worm, rel) {
-                        let e = self.worms[wi].path[rel as usize - 1];
-                        self.release(ctx, e as usize);
-                    }
-                }
-            }
-            self.worms[wi].worm.advance = a1;
             self.last_move_plus1 = self.last_move_plus1.max(t + k);
-            if a1 == fin_a {
-                if needs_vc(ctx, &self.worms[wi].worm, hops) {
-                    let e = self.worms[wi].path[hops as usize - 1];
-                    self.release(ctx, e as usize);
-                }
-                let fin_t = t + k; // the finishing advance ran at t+k−1
-                let w = &mut self.worms[wi];
-                w.out.finished = Some(fin_t);
-                w.gone = true;
-                self.retired.push(Retired {
-                    id: w.id,
-                    worm: Worm {
-                        advance: w.worm.advance,
-                        hops: w.worm.hops,
-                        length: w.worm.length,
-                        pending_route: w.worm.pending_route,
-                    },
-                    time: fin_t,
-                    delivered: true,
-                    out: w.out,
-                });
-            }
         }
         self.sweep(ctx, t);
         // Nobody is waiting (asserted above) — drop the release keys
         // the drain recorded so they cannot wake a later parkee.
-        self.released_keys.clear();
+        self.k.vc.released.clear();
     }
 
-    /// [`Sim::select_pending`] over region-local state: the wanted hop
-    /// of pending worm index `i`, from start-of-step holder counts. All
-    /// candidates are out-edges of the head node, which this region
-    /// owns — so the local counters are the global truth and both
-    /// engines make the same choice.
-    fn select_pending(&mut self, ctx: &Ctx, i: usize) -> SelectedHop {
-        let mut cand = std::mem::take(&mut self.cand);
-        let router = ctx.router.expect("pending worm without a router");
-        let g = ctx.graph;
-        let rw = &self.worms[i];
-        let a = rw.worm.advance as usize;
-        let (head, prev) = if a == 0 {
-            (NodeId(rw.src), None)
-        } else {
-            let e = EdgeId(rw.path[a - 1]);
-            (g.dst(e), Some(g.src(e)))
-        };
-        let dst = NodeId(rw.dst);
-        debug_assert_ne!(head, dst, "pending worm already at its destination");
-        debug_assert_eq!(
-            ctx.node_region[head.idx()],
-            self.idx,
-            "pending worm resident outside its head's region"
-        );
-        let misroutes_ok = ctx.fully && rw.budget > 0;
-        cand.clear();
-        router.candidates(head, dst, misroutes_ok, &mut cand);
-        let best = |want_profitable: bool, skip: Option<NodeId>| {
-            cand.iter()
-                .filter(|&&(e, p)| p == want_profitable && self.free_vcs(ctx, e.idx()) > 0)
-                .filter(|&&(e, _)| skip != Some(g.dst(e)))
-                .map(|&(e, _)| (self.holders[e.idx()], e.0))
-                .min()
-        };
-        let sel = if let Some((_, edge)) = best(true, None) {
-            SelectedHop::Adaptive {
-                edge,
-                misroute: false,
-            }
-        } else if let Some((_, edge)) = misroutes_ok.then(|| best(false, prev)).flatten() {
-            SelectedHop::Adaptive {
-                edge,
-                misroute: true,
-            }
-        } else {
-            SelectedHop::Escape {
-                edge: router.escape_hop(head, dst).0,
-            }
-        };
-        self.cand = cand;
-        self.worms[i].selected = sel;
-        sel
-    }
-
-    /// [`Sim::extend_route`] for resident worm index `i` (no fault
-    /// branch — fault plans never reach this engine).
-    fn extend_route(&mut self, ctx: &Ctx, wi: usize) {
-        debug_assert_eq!(
-            self.worms[wi].path.len() as u32,
-            self.worms[wi].worm.advance
-        );
-        match self.worms[wi].selected {
-            SelectedHop::Adaptive { edge, misroute } => {
-                self.worms[wi].path.push(edge);
-                if misroute {
-                    self.misroute_hops += 1;
-                    self.worms[wi].budget -= 1;
-                }
-                let arrived = ctx.edge_dst[edge as usize] == self.worms[wi].dst;
-                self.worms[wi].worm.hops += 1;
-                if arrived {
-                    self.worms[wi].worm.pending_route = false;
-                }
-            }
-            SelectedHop::Escape { edge } => {
-                let router = ctx.router.expect("escape without a router");
-                let head = ctx.graph.src(EdgeId(edge));
-                let tail = router.escape_route(head, NodeId(self.worms[wi].dst));
-                debug_assert_eq!(tail.edges()[0], EdgeId(edge));
-                self.worms[wi].path.extend(tail.edges().iter().map(|e| e.0));
-                self.escape_fallbacks += 1;
-                self.worms[wi].worm.hops += tail.len() as u32;
-                self.worms[wi].worm.pending_route = false;
-            }
-            SelectedHop::None => unreachable!("pending worm advanced without a selection"),
-        }
-    }
-
-    /// One step over the resident worms: the classify → arbitrate →
-    /// apply phases of [`Sim::step_full_bandwidth`], ending with the
-    /// retire/handoff sweep. Reads and writes only region-owned
-    /// state; cross-region effects go to the outboxes.
+    /// One step over the resident worms: the kernel's phases, then
+    /// losers are discarded or marked to park, and the retire/handoff
+    /// sweep runs. Reads and writes only region-owned state;
+    /// cross-region effects go to the outboxes.
     fn step(&mut self, ctx: &Ctx, t: u64) {
-        self.movers.clear();
-        self.blocked.clear();
-        self.buckets.clear();
-        // Phase 1: classify (drains and VC-free final hops move freely;
-        // pending worms select their wanted hop; everything else
-        // contends for its next edge).
-        for i in 0..self.worms.len() {
-            if self.worms[i].worm.pending_route {
-                let sel = self.select_pending(ctx, i);
-                let edge = sel.edge().expect("selection always yields a hop") as usize;
-                let lands_final = ctx.edge_dst[edge] == self.worms[i].dst;
-                if lands_final && ctx.config.final_edge == FinalEdgePolicy::Unlimited {
-                    self.movers.push(i as u32); // delivery absorbs VC-free
-                } else {
-                    self.buckets.push(edge, i as u32);
-                }
-                continue;
-            }
-            let w = &self.worms[i].worm;
-            if w.advance >= w.hops {
-                self.movers.push(i as u32);
-            } else {
-                let next = w.advance + 1;
-                if needs_vc(ctx, w, next) {
-                    let e = self.worms[i].path[next as usize - 1] as usize;
-                    self.buckets.push(e, i as u32);
-                } else {
-                    self.movers.push(i as u32);
-                }
-            }
+        let n = self.worms.len();
+        self.k.contend(&mut self.worms, 0..n as u32, t);
+        self.moved = !self.k.movers.is_empty();
+        for i in 0..self.k.movers.len() {
+            self.k
+                .advance(&mut self.worms[self.k.movers[i] as usize], t);
         }
-        // Phase 2: arbitration from start-of-step holder counts.
-        self.arbitrate(ctx, t);
-        self.moved = !self.movers.is_empty();
-        // Phase 3: apply.
-        for i in 0..self.movers.len() {
-            let m = self.movers[i];
-            self.advance_worm(ctx, m, t);
-        }
-        for i in 0..self.blocked.len() {
-            let m = self.blocked[i];
-            self.worms[m as usize].out.stalls += 1;
+        self.park_mark.resize(n, false);
+        for i in 0..self.k.blocked.len() {
+            let m = self.k.blocked[i] as usize;
+            let w = &mut self.worms[m];
+            w.out.stalls += 1;
             if ctx.config.blocked == BlockedPolicy::Discard {
-                self.discard_worm(ctx, m, t);
-            } else if !self.worms[m as usize].worm.pending_route {
+                self.k.discard(w, DiscardReason::Delay);
+            } else if !w.pending_route {
                 // Park a loser whose wanted edge is still full after
                 // every move and release of this step landed: it stays
                 // blocked — and stalls — until a release on its wait
-                // key, so the step loop can skip it entirely. Pending
-                // adaptive worms never park; they re-select each step.
-                let e = self.worms[m as usize].path[self.worms[m as usize].worm.advance as usize]
-                    as usize;
-                if self.free_vcs(ctx, e) == 0 {
-                    self.worms[m as usize].park = true;
-                }
+                // key. Pending adaptive worms re-select each step.
+                self.park_mark[m] = !self.k.vc.acquirable(w.edge(w.advance + 1));
             }
         }
         self.sweep(ctx, t);
-        self.wake_parked(ctx, t);
+        self.wake_parked(t);
     }
 
-    /// [`Sim::arbitrate`] over this region's contender buckets. The
-    /// pooled branch allocates shared credits in ascending edge-id
-    /// order; bucket edges are global ids, so the local order *is* the
-    /// canonical global order.
-    fn arbitrate(&mut self, ctx: &Ctx, t: u64) {
-        let groups = self.buckets.group();
-        if !ctx.pooled {
-            for gi in 0..groups {
-                let e = self.buckets.edge(gi);
-                let free = self.free_vcs(ctx, e) as usize;
-                let group = self.buckets.group_mut(gi);
-                if group.len() > free {
-                    if free == 0 {
-                        self.blocked.extend_from_slice(group);
-                        continue;
-                    }
-                    order_contenders_local(ctx, &self.worms, t, e, group);
-                    self.blocked.extend_from_slice(&group[free..]);
-                    self.movers.extend_from_slice(&group[..free]);
-                } else {
-                    self.movers.extend_from_slice(group);
-                }
-            }
-            return;
-        }
-        {
-            let Region {
-                group_order,
-                buckets,
-                ..
-            } = self;
-            group_order.clear();
-            group_order.extend(0..groups as u32);
-            group_order.sort_unstable_by_key(|&gi| buckets.edge(gi as usize));
-        }
-        for i in 0..self.group_order.len() {
-            let gi = self.group_order[i] as usize;
-            let e = self.buckets.edge(gi);
-            let r = ctx.edge_src[e] as usize;
-            let h = self.holders[e] as u32;
-            let floor_free = ctx.per_edge_min.saturating_sub(h);
-            let shared_free =
-                (ctx.shared_cap[r] - self.shared_used[r]).saturating_sub(self.planned_shared[r]);
-            let free = (ctx.per_edge_max.saturating_sub(h)).min(floor_free + shared_free) as usize;
-            let group = self.buckets.group_mut(gi);
-            if free == 0 {
-                self.blocked.extend_from_slice(group);
-                continue;
-            }
-            let granted = if group.len() > free {
-                order_contenders_local(ctx, &self.worms, t, e, group);
-                self.blocked.extend_from_slice(&group[free..]);
-                self.movers.extend_from_slice(&group[..free]);
-                free as u32
-            } else {
-                self.movers.extend_from_slice(group);
-                group.len() as u32
-            };
-            let shared_taken = granted.saturating_sub(floor_free);
-            if shared_taken > 0 {
-                if self.planned_shared[r] == 0 {
-                    self.touched_routers.push(r as u32);
-                }
-                self.planned_shared[r] += shared_taken;
-            }
-        }
-        for i in 0..self.touched_routers.len() {
-            self.planned_shared[self.touched_routers[i] as usize] = 0;
-        }
-        self.touched_routers.clear();
-    }
-
-    /// [`Sim::apply_advance`] for resident worm index `i` (pending
-    /// worms commit their selected hop first, exactly like the
-    /// sequential apply phase).
-    fn advance_worm(&mut self, ctx: &Ctx, i: u32, t: u64) {
-        let wi = i as usize;
-        if self.worms[wi].worm.pending_route {
-            self.extend_route(ctx, wi);
-        }
-        let (hops, length, width) = {
-            let w = &self.worms[wi].worm;
-            (w.hops, w.length, w.crossing_width())
-        };
-        self.flit_hops += width as u64;
-        if self.worms[wi].out.first_move.is_none() {
-            self.worms[wi].out.first_move = Some(t);
-        }
-        self.worms[wi].worm.advance += 1;
-        let a = self.worms[wi].worm.advance;
-        // Acquire the newly crossed edge (always owned).
-        if a <= hops && needs_vc(ctx, &self.worms[wi].worm, a) {
-            let e = self.worms[wi].path[a as usize - 1];
-            self.acquire(ctx, e as usize);
-            self.acquired.push(e);
-        }
-        // Release the edge the tail just left (possibly foreign).
-        if a > length {
-            let rel = a - length;
-            if needs_vc(ctx, &self.worms[wi].worm, rel) {
-                let e = self.worms[wi].path[rel as usize - 1];
-                self.release(ctx, e as usize);
-            }
-        }
-        if self.worms[wi].worm.done() {
-            if needs_vc(ctx, &self.worms[wi].worm, hops) {
-                let e = self.worms[wi].path[hops as usize - 1];
-                self.release(ctx, e as usize);
-            }
-            let w = &mut self.worms[wi];
-            w.out.finished = Some(t + 1);
-            w.gone = true;
-            self.retired.push(Retired {
-                id: w.id,
-                worm: Worm {
-                    advance: w.worm.advance,
-                    hops: w.worm.hops,
-                    length: w.worm.length,
-                    pending_route: w.worm.pending_route,
-                },
-                time: t + 1,
-                delivered: true,
-                out: w.out,
-            });
-        }
-    }
-
-    /// [`Sim::discard`] for resident worm index `i`
-    /// ([`BlockedPolicy::Discard`] only — no faults here).
-    fn discard_worm(&mut self, ctx: &Ctx, i: u32, t: u64) {
-        let wi = i as usize;
-        let (lo, hi) = self.worms[wi].worm.held_range();
-        for j in lo..=hi {
-            if needs_vc(ctx, &self.worms[wi].worm, j) {
-                let e = self.worms[wi].path[j as usize - 1];
-                self.release(ctx, e as usize);
-            }
-        }
-        let w = &mut self.worms[wi];
-        w.out.discarded = Some(DiscardReason::Delay);
-        w.gone = true;
-        self.retired.push(Retired {
-            id: w.id,
-            worm: Worm {
-                advance: w.worm.advance,
-                hops: w.worm.hops,
-                length: w.worm.length,
-                pending_route: w.worm.pending_route,
-            },
-            time: t,
-            delivered: false,
-            out: w.out,
-        });
-    }
-
-    /// End-of-step sweep: drop retired worms, park this step's marked
-    /// losers, keep residents, and emigrate worms whose next wanted
-    /// edge is owned elsewhere. Draining worms have no wanted edge and
-    /// stay put; a pending worm's residency follows its head node.
-    /// A parked worm never migrates — it did not move, so its wanted
-    /// edge (and with it its residency) is unchanged.
+    /// End-of-step sweep: retire finished and discarded worms, park this
+    /// step's marked losers, keep residents, and emigrate worms whose
+    /// next wanted edge is owned elsewhere. A parked worm never migrates
+    /// — it did not move, so its wanted edge (and with it its residency)
+    /// is unchanged.
     fn sweep(&mut self, ctx: &Ctx, t: u64) {
-        std::mem::swap(&mut self.worms, &mut self.scratch);
         let mut scratch = std::mem::take(&mut self.scratch);
-        for w in scratch.drain(..) {
-            if w.gone {
-                continue;
-            }
-            if w.park {
+        std::mem::swap(&mut self.worms, &mut scratch);
+        for (i, w) in scratch.drain(..).enumerate() {
+            if w.retired() {
+                let at = w.out.finished.unwrap_or(t);
+                self.retired.push((w, at));
+            } else if self.park_mark.get(i) == Some(&true) {
                 self.park_worm(ctx, w, t);
-                continue;
-            }
-            let target = if w.worm.pending_route {
-                ctx.node_region[w.head_node(ctx)]
-            } else if w.worm.advance >= w.worm.hops {
-                self.idx
             } else {
-                ctx.edge_region[w.path[w.worm.advance as usize] as usize]
-            };
-            if target == self.idx {
-                self.worms.push(w);
-            } else {
-                self.handoffs.push((target, w));
+                let target = ctx.home(&w, self.idx);
+                if target == self.idx {
+                    self.worms.push(w);
+                } else {
+                    self.handoffs.push((target, w));
+                }
             }
         }
         self.scratch = scratch;
+        self.park_mark.clear();
     }
+}
 
-    /// [`Sim::settle_max_vcs`] over this step's acquisitions, sampling
-    /// the end-of-step holder count — order-free and engine-identical.
-    /// Called in-region inside multi-step windows (interaction-free, so
-    /// the local count is the global one) and by the coordinator after
-    /// remote releases in one-step windows.
-    fn settle_max(&mut self, ctx: &Ctx) {
-        for i in 0..self.acquired.len() {
-            let e = self.acquired[i] as usize;
-            self.max_vcs = self.max_vcs.max(self.holders[e]);
-            let r = ctx.edge_src[e] as usize;
-            self.max_pool = self.max_pool.max(self.pool_used[r]);
-        }
-        self.acquired.clear();
-    }
+/// Locks a region. The lock is poisoned only if a worker panicked while
+/// stepping it, and that panic then ends the run anyway.
+fn lock<'r, 'c>(cell: &'r Mutex<Region<'c>>) -> MutexGuard<'r, Region<'c>> {
+    cell.lock().expect("a region worker panicked")
 }
 
 /// Everything the worker threads can see: the regions (each behind its
 /// own mutex — workers step disjoint index sets, so locks are always
 /// uncontended), the window barriers, and the broadcast clock/grant.
-struct Shared<'a> {
-    regions: Vec<Mutex<Region>>,
+struct Shared<'c> {
+    regions: Vec<Mutex<Region<'c>>>,
     /// Opens a window (workers wait here between windows).
     start: Barrier,
     /// Closes a window (the coordinator merges after this).
@@ -1168,7 +560,26 @@ struct Shared<'a> {
     w_now: AtomicU64,
     /// Set by the coordinator before the final `start` wave.
     stop: AtomicBool,
-    ctx: Ctx<'a>,
+    ctx: &'c Ctx<'c>,
+}
+
+impl Shared<'_> {
+    /// Moves record `w` into region `target`, caching its local-path
+    /// flag and tightening that region's window grant.
+    fn place(&self, mut w: Worm, target: u32) {
+        let bound = worm_bound(self.ctx, &w, target);
+        w.local_path = bound == u64::MAX && !w.pending_route;
+        let mut reg = lock(&self.regions[target as usize]);
+        reg.safe = reg.safe.min(bound);
+        reg.worms.push(w);
+    }
+
+    /// Sums the region VC tables into `sim`'s, so the sequential
+    /// invariant checks and the result read one global table.
+    fn gather(&self, sim: &mut Sim<'_>) {
+        let regs: Vec<_> = self.regions.iter().map(lock).collect();
+        sim.k.vc.gather(regs.iter().map(|r| &r.k.vc));
+    }
 }
 
 /// Worker `w` of `nthreads`: run regions `w, w + nthreads, …` through
@@ -1181,15 +592,16 @@ fn worker_loop(shared: &Shared<'_>, w: usize, nthreads: usize) {
         }
         let t = shared.t_now.load(Ordering::Relaxed);
         let win = shared.w_now.load(Ordering::Relaxed);
-        let mut r = w;
-        while r < shared.regions.len() {
-            shared.regions[r]
-                .lock()
-                .unwrap()
-                .run_window(&shared.ctx, t, t + win);
-            r += nthreads;
-        }
+        run_regions(shared, w, nthreads, t, t + win);
         shared.end.wait();
+    }
+}
+
+/// Runs regions `first, first + stride, …` through the window
+/// `[t, end)`.
+fn run_regions(shared: &Shared<'_>, first: usize, stride: usize, t: u64, end: u64) {
+    for reg in shared.regions.iter().skip(first).step_by(stride) {
+        lock(reg).run_window(shared.ctx, t, end);
     }
 }
 
@@ -1197,183 +609,43 @@ fn worker_loop(shared: &Shared<'_>, w: usize, nthreads: usize) {
 /// worker pool when there is one, inline otherwise.
 fn step_window(shared: &Shared<'_>, nthreads: usize, t: u64, w: u64) {
     if nthreads == 1 {
-        for reg in &shared.regions {
-            reg.lock().unwrap().run_window(&shared.ctx, t, t + w);
-        }
+        run_regions(shared, 0, 1, t, t + w);
         return;
     }
     shared.t_now.store(t, Ordering::Relaxed);
     shared.w_now.store(w, Ordering::Relaxed);
     shared.start.wait();
     // The coordinator doubles as worker 0.
-    let mut r = 0;
-    while r < shared.regions.len() {
-        shared.regions[r]
-            .lock()
-            .unwrap()
-            .run_window(&shared.ctx, t, t + w);
-        r += nthreads;
-    }
+    run_regions(shared, 0, nthreads, t, t + w);
     shared.end.wait();
 }
 
-/// Builds the region-resident copy of freshly admitted message `m`.
-fn make_rworm(sim: &Sim<'_>, m: u32) -> RWorm {
-    let mi = m as usize;
-    let spec = &sim.specs[mi];
-    let src = &sim.worms[mi];
-    let (path, wsrc, wdst, budget): (Vec<u32>, u32, u32, u32) = match sim.adaptive.as_ref() {
-        Some(ad) => (
-            ad.routes[mi].iter().map(|e| e.0).collect(),
-            ad.src[mi].0,
-            ad.dst[mi].0,
-            ad.budget[mi],
-        ),
-        None => (spec.path.edges().iter().map(|e| e.0).collect(), 0, 0, 0),
-    };
-    RWorm {
-        id: m,
-        worm: Worm {
-            advance: src.advance,
-            hops: src.hops,
-            length: src.length,
-            pending_route: src.pending_route,
-        },
-        release: spec.release,
-        priority: spec.priority,
-        path,
-        src: wsrc,
-        dst: wdst,
-        budget,
-        selected: SelectedHop::None,
-        out: sim.outcomes[mi],
-        gone: false,
-        park: false,
-        local_path: false,
-    }
-}
-
-/// The region a fresh or migrating worm belongs to: its head node's
-/// region while the route is pending, the owner of its next wanted
-/// edge otherwise.
-fn rworm_home(ctx: &Ctx, w: &RWorm) -> usize {
-    if w.worm.pending_route {
-        ctx.node_region[w.head_node(ctx)] as usize
-    } else {
-        ctx.edge_region[w.path[w.worm.advance as usize] as usize] as usize
-    }
-}
-
-/// Copies every in-flight resident worm's kinematics, outcome, and
-/// route state back into the per-id tables (retired worms were written
-/// at retirement). Parked worms are residents too; the run-end paths
-/// settle their stalls first, the mid-run invariant check reads them
-/// as-is (kinematics are exact while parked, only stalls are deferred).
-fn write_back(sim: &mut Sim<'_>, shared: &Shared<'_>) {
-    for cell in &shared.regions {
-        let reg = cell.lock().unwrap();
-        let parked = reg.park_slab.iter().filter_map(|s| s.rw.as_ref());
-        for w in reg.worms.iter().chain(parked) {
-            let mi = w.id as usize;
-            sim.worms[mi].advance = w.worm.advance;
-            sim.worms[mi].hops = w.worm.hops;
-            sim.worms[mi].pending_route = w.worm.pending_route;
-            sim.outcomes[mi] = w.out;
-            if let Some(ad) = sim.adaptive.as_mut() {
-                ad.routes[mi].clear();
-                ad.routes[mi].extend(w.path.iter().map(|&e| EdgeId(e)));
-                ad.budget[mi] = w.budget;
-                ad.selected[mi] = w.selected;
-            }
-        }
-    }
-}
-
-/// Scatters the region-owned holder/pool counters back into the
-/// [`Sim`] arrays (each global index is owned by exactly one region).
-fn sync_counters(sim: &mut Sim<'_>, shared: &Shared<'_>) {
-    let ctx = &shared.ctx;
-    for (r, cell) in shared.regions.iter().enumerate() {
-        let reg = cell.lock().unwrap();
-        for (e, &owner) in ctx.edge_region.iter().enumerate() {
-            if owner as usize == r {
-                sim.holders[e] = reg.holders[e];
-            }
-        }
-        for (v, &owner) in ctx.node_region.iter().enumerate() {
-            if owner as usize == r {
-                sim.pool_used[v] = reg.pool_used[v];
-                if ctx.pooled {
-                    sim.shared_used[v] = reg.shared_used[v];
-                }
-            }
-        }
-    }
-}
-
-/// Folds the per-region accumulators into the run totals (exactly
-/// once, at run end).
-fn fold_stats(sim: &mut Sim<'_>, shared: &Shared<'_>) {
-    for cell in &shared.regions {
-        let reg = cell.lock().unwrap();
-        sim.flit_hops += reg.flit_hops;
-        sim.max_vcs = sim.max_vcs.max(reg.max_vcs);
-        sim.max_pool = sim.max_pool.max(reg.max_pool);
-        if let Some(ad) = sim.adaptive.as_mut() {
-            ad.escape_fallbacks += reg.escape_fallbacks;
-            ad.misroute_hops += reg.misroute_hops;
-        }
-    }
-}
-
-/// The coordinator: mirrors [`Sim::drive_legacy`]'s loop head (idle
-/// fast-forward, step-cap accounting, admissions) around the window
-/// grant, then merges outboxes in region-index order.
+/// The coordinator: the sequential loop head ([`Sim::loop_head`]) and
+/// admissions around the window grant, then merges outboxes in
+/// region-index order.
 fn run_loop(
     sim: &mut Sim<'_>,
     shared: &Shared<'_>,
     nthreads: usize,
 ) -> (Outcome, u64, Option<DeadlockReport>) {
+    let ctx = shared.ctx;
     let mut t: u64 = 0;
     let mut n_active: usize = 0;
-    let mut deadlock_report = None;
+    let mut fresh: Vec<u32> = Vec::new();
     let mut rel_buf: Vec<u32> = Vec::new();
-    let mut handoff_buf: Vec<(u32, RWorm)> = Vec::new();
-    let mut retired_buf: Vec<Retired> = Vec::new();
+    let mut handoff_buf: Vec<(u32, Worm)> = Vec::new();
+    let mut retired_buf: Vec<(Worm, u64)> = Vec::new();
     let outcome = loop {
-        // Idle fast-forward and termination — byte-for-byte the legacy
-        // loop head's decisions (see `drive_legacy` for the cap rules).
-        if n_active == 0 {
-            match sim.peek_next_release(t) {
-                None => break Outcome::Completed,
-                Some(r) => {
-                    if t >= sim.config.max_steps {
-                        break Outcome::MaxSteps;
-                    }
-                    if r >= sim.config.max_steps {
-                        t = sim.config.max_steps;
-                        break Outcome::MaxSteps;
-                    }
-                    t = t.max(r);
-                }
-            }
-        } else if t >= sim.config.max_steps {
-            break Outcome::MaxSteps;
+        if let Some(end) = sim.loop_head(n_active == 0, &mut t) {
+            break end;
         }
-        let new = sim.admit_ready(t);
-        for i in new {
-            let m = sim.admitted_id(i);
-            if sim.outcomes[m as usize].discarded.is_none() {
-                let mut w = make_rworm(sim, m);
-                let target = rworm_home(&shared.ctx, &w);
-                let bound = worm_bound(&shared.ctx, &w, target as u32);
-                w.local_path = bound == u64::MAX && !w.worm.pending_route;
-                let mut reg = shared.regions[target].lock().unwrap();
-                reg.safe = reg.safe.min(bound);
-                reg.worms.push(w);
-                drop(reg);
-                n_active += 1;
-            }
+        // Every new record moves to its region.
+        sim.admit_ready(t, &mut fresh);
+        for m in fresh.drain(..) {
+            let w = std::mem::take(&mut sim.worms[m as usize]);
+            let home = ctx.home(&w, 0);
+            shared.place(w, home);
+            n_active += 1;
         }
 
         // The window grant: the minimum per-region `safe` bound over
@@ -1385,7 +657,7 @@ fn run_loop(
         // the admission sequence untouched.
         let mut grant = u64::MAX;
         for cell in &shared.regions {
-            let reg = cell.lock().unwrap();
+            let reg = lock(cell);
             if reg.has_residents() {
                 grant = grant.min(reg.safe);
             }
@@ -1410,7 +682,7 @@ fn run_loop(
         let mut any_worms = false;
         let mut any_frozen = false;
         for cell in &shared.regions {
-            let mut reg = cell.lock().unwrap();
+            let mut reg = lock(cell);
             t_dead = t_dead.max(reg.last_move_plus1);
             if reg.has_residents() {
                 any_worms = true;
@@ -1421,7 +693,7 @@ fn run_loop(
                 }
             }
             any_frozen |= reg.static_from != u64::MAX;
-            rel_buf.append(&mut reg.remote_releases);
+            rel_buf.append(&mut reg.k.vc.remote);
             handoff_buf.append(&mut reg.handoffs);
             retired_buf.append(&mut reg.retired);
         }
@@ -1431,15 +703,10 @@ fn run_loop(
         );
         // Cross-region releases land now — visible to step `t + 1`,
         // like any sequential mid-step release...
-        for &e in &rel_buf {
-            let e = e as usize;
-            let owner = shared.ctx.edge_region[e] as usize;
-            shared.regions[owner]
-                .lock()
-                .unwrap()
-                .release_local(&shared.ctx, e);
+        for e in rel_buf.drain(..) {
+            let owner = ctx.edge_region[e as usize] as usize;
+            lock(&shared.regions[owner]).k.vc.release(e as usize);
         }
-        rel_buf.clear();
         // ...and *before* the occupancy maxima are sampled, so the
         // sample is the end-of-step state, as in the sequential
         // engines. (Multi-step windows already settled in-region.)
@@ -1448,9 +715,9 @@ fn run_loop(
         // skipped stalls settle through `t`, re-contention at `t + 1`.
         if w == 1 {
             for cell in &shared.regions {
-                let mut reg = cell.lock().unwrap();
-                reg.wake_parked(&shared.ctx, t);
-                reg.settle_max(&shared.ctx);
+                let mut reg = lock(cell);
+                reg.wake_parked(t);
+                reg.k.vc.settle_max();
             }
         }
         // A frozen region repeats its freeze step verbatim until the
@@ -1463,74 +730,65 @@ fn run_loop(
         if any_frozen {
             let end_count = if deadlocked { t_dead } else { t + w - 1 };
             for cell in &shared.regions {
-                let mut reg = cell.lock().unwrap();
+                let mut reg = lock(cell);
                 if reg.static_from != u64::MAX {
                     let extra = end_count - reg.static_from;
-                    if extra > 0 {
-                        for wm in &mut reg.worms {
-                            wm.out.stalls += extra;
-                        }
+                    for wm in &mut reg.worms {
+                        wm.out.stalls += extra;
                     }
                 }
             }
         }
-        for rt in retired_buf.drain(..) {
-            let mi = rt.id as usize;
-            sim.worms[mi].advance = rt.worm.advance;
-            sim.worms[mi].hops = rt.worm.hops;
-            sim.worms[mi].pending_route = rt.worm.pending_route;
-            sim.outcomes[mi] = rt.out;
-            sim.record_done(rt.id, rt.time, rt.delivered);
-            if rt.delivered {
-                sim.last_finish = sim.last_finish.max(rt.time);
+        for (w, at) in retired_buf.drain(..) {
+            let id = w.id;
+            let delivered = w.out.discarded.is_none();
+            sim.record_done(id, at, delivered);
+            if delivered {
+                sim.last_finish = sim.last_finish.max(at);
             }
             sim.unfinished -= 1;
             n_active -= 1;
+            sim.worms[id as usize] = w;
         }
-        for (target, mut w) in handoff_buf.drain(..) {
-            let bound = worm_bound(&shared.ctx, &w, target);
-            w.local_path = bound == u64::MAX && !w.worm.pending_route;
-            let mut reg = shared.regions[target as usize].lock().unwrap();
-            reg.safe = reg.safe.min(bound);
-            reg.worms.push(w);
+        for (target, w) in handoff_buf.drain(..) {
+            shared.place(w, target);
         }
 
         if deadlocked {
             // Static state, nothing can ever move again: deadlock at
-            // the first globally move-free step, with the same report
-            // the sequential engines build. Parked worms were blocked
-            // at every step up to the verdict — settle them first.
+            // the first globally move-free step.
             t = t_dead;
-            for cell in &shared.regions {
-                cell.lock().unwrap().settle_parked(t_dead);
-            }
-            write_back(sim, shared);
-            sim.rebuild_active();
-            deadlock_report = Some(sim.build_deadlock_report());
-            break Outcome::Deadlock(sim.active.clone());
+            break Outcome::Deadlock(Vec::new());
         }
         if sim.config.check_invariants {
-            write_back(sim, shared);
-            sync_counters(sim, shared);
-            sim.rebuild_active();
-            sim.validate();
+            shared.gather(sim);
+            let regs: Vec<_> = shared.regions.iter().map(lock).collect();
+            sim.k.validate(regs.iter().flat_map(|r| r.residents()));
         }
         t += w;
     };
-    if matches!(outcome, Outcome::MaxSteps) {
-        // The cap ended the run with worms possibly still parked; the
-        // sequential engines count their stalls through the last step
-        // that ran (`max_steps - 1`).
-        let last = sim.config.max_steps.saturating_sub(1);
-        for cell in &shared.regions {
-            cell.lock().unwrap().settle_parked(last);
-        }
+    // Parked worms were blocked at every step through the end of the
+    // run — the deadlock instant, or the last step the cap let run
+    // (`max_steps - 1`) — and the sequential engines counted each one.
+    // Then every record returns to the per-id table.
+    let through = match outcome {
+        Outcome::MaxSteps => sim.config.max_steps.saturating_sub(1),
+        _ => t,
+    };
+    for cell in &shared.regions {
+        let mut reg = lock(cell);
+        reg.settle_parked(through);
+        reg.evict(&mut sim.worms);
+        sim.k.counts.add(&reg.k.counts);
     }
-    write_back(sim, shared);
-    sync_counters(sim, shared);
-    fold_stats(sim, shared);
-    sim.rebuild_active();
-    (outcome, t, deadlock_report)
+    shared.gather(sim);
+    if let Outcome::Deadlock(_) = outcome {
+        // The same report the sequential engines build.
+        sim.rebuild_active();
+        let report = sim.build_deadlock_report();
+        return (Outcome::Deadlock(sim.active.clone()), t, Some(report));
+    }
+    (outcome, t, None)
 }
 
 /// Entry point from the engine dispatch: runs `sim` to its outcome on
@@ -1564,17 +822,16 @@ pub(crate) fn drive(sim: &mut Sim<'_>, threads: u32) -> (Outcome, u64, Option<De
     };
     let nthreads = req.min(k).max(1);
     let ctx = Ctx::new(sim, &plan);
-    let regions = (0..k)
-        .map(|r| Mutex::new(Region::new(r as u32, &ctx)))
-        .collect();
     let shared = Shared {
-        regions,
+        regions: (0..k)
+            .map(|r| Mutex::new(Region::new(r as u32, &ctx)))
+            .collect(),
         start: Barrier::new(nthreads),
         end: Barrier::new(nthreads),
         t_now: AtomicU64::new(0),
         w_now: AtomicU64::new(1),
         stop: AtomicBool::new(false),
-        ctx,
+        ctx: &ctx,
     };
     if nthreads == 1 {
         run_loop(sim, &shared, 1)

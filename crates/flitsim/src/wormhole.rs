@@ -30,26 +30,34 @@
 //! (proof: a worm acquiring an edge is itself one of the ≤ B users, so at
 //! most `B−1` others ever hold it simultaneously).
 //!
-//! # Engines
+//! # One kernel, three drivers
 //!
-//! Two steppers drive the full-bandwidth model
-//! ([`crate::config::Engine`]) and are required to produce **bit-identical
-//! [`SimResult`]s** — the proptest differential suite and the unit fixtures
-//! compare them field for field, deadlock reports included:
+//! The full-bandwidth model's rules — VC capacity, acquire and release,
+//! arbitration order, hop selection, advance, the closed-form drain and
+//! discard — are written once, in the crate's step kernel, over one
+//! per-message record. Three drivers ([`crate::config::Engine`]) call it
+//! and differ only in scheduling; they are required to produce
+//! **bit-identical [`SimResult`]s**, deadlock reports included:
 //!
-//! * the **legacy** stepper rescans every active worm each flit step (the
-//!   original implementation, kept as the differential oracle);
+//! * the **legacy** stepper rescans every active worm each flit step
+//!   (kept as the differential oracle, and the only driver for the
+//!   restricted bandwidth model and for tracing);
 //! * the **event-driven** engine (the default, `engine` module) parks a
 //!   worm that loses arbitration on a wait queue of the edge it wants and
 //!   reconsiders it only when that edge releases a VC; contention-free
 //!   stretches — nothing parked and the in-flight worms provably unable
 //!   to interact (all draining, or pairwise edge- and
-//!   source-router-disjoint paths) —
-//!   fast-forward to the next release with drain phases collapsed to
-//!   closed form, and a fully idle network jumps straight to the next
-//!   message release.
+//!   source-router-disjoint paths) — fast-forward to the next release
+//!   with drain phases collapsed to closed form, and a fully idle network
+//!   jumps straight to the next message release;
+//! * the **parallel** engine (`parallel` module) runs the same step in
+//!   each region of a partitioned network, over conservative time
+//!   windows.
 //!
-//! The equivalence rests on three invariants:
+//! Because every driver calls the same rules, the differential oracle
+//! checks *scheduling* only. The rules themselves are pinned by this
+//! module's unit fixtures, the kernel's fixtures and the invariant
+//! proptests. The scheduling equivalence rests on three invariants:
 //!
 //! 1. **Parked ⇒ full.** A worm parks only if its wanted edge still has
 //!    all `B` VCs held *after* the step's releases land. Since holder
@@ -78,6 +86,8 @@
 //!    at each acquisition instant (which would depend on the interleaving
 //!    of same-step acquires and releases).
 //!
+//! [`Arbitration::Random`]: crate::config::Arbitration::Random
+//!
 //! [`run_traced`] always uses the legacy stepper: its per-step `Blocked`
 //! events are inherently step-enumerated, which is exactly what the event
 //! engine avoids materializing.
@@ -86,24 +96,21 @@
 //!
 //! Every capacity decision is a query against
 //! [`crate::config::SimConfig::vc_policy`] rather than a comparison with
-//! a scalar `B`:
+//! a scalar `B`, made by the kernel's VC table:
 //!
-//! * **acquirability** (`Sim::free_vcs`) — static: `holders < B`;
-//!   pooled: below the per-edge floor, or below the per-edge cap with
-//!   shared credit left at the source router;
-//! * **arbitration** (`Sim::arbitrate`, shared by both engines) —
-//!   under pooling, sibling edges of one router competing for the same
-//!   shared credits within a step are granted in **ascending edge-id
-//!   order**, a canonical rule that reads only start-of-step state and
-//!   the (engine-independent) contender sets, so the engines cannot
-//!   diverge;
-//! * **park/wake keying** (`Sim::wait_key`) — a blocked worm's edge
-//!   can become acquirable when a VC releases on the edge itself
-//!   (static) or on *any* outgoing edge of its source router (pooled:
-//!   the release may return shared credit). Acquirability is monotone
-//!   non-increasing between releases on that key under both policies,
-//!   which is what keeps the event engine's parked-interval stall
-//!   arithmetic exact.
+//! * **acquirability** — static: `holders < B`; pooled: below the
+//!   per-edge floor, or below the per-edge cap with shared credit left at
+//!   the source router;
+//! * **arbitration** — under pooling, sibling edges of one router
+//!   competing for the same shared credits within a step are granted in
+//!   **ascending edge-id order**, a canonical rule that reads only
+//!   start-of-step state and the (engine-independent) contender sets;
+//! * **park/wake keying** — a blocked worm's edge can become acquirable
+//!   when a VC releases on the edge itself (static) or on *any* outgoing
+//!   edge of its source router (pooled: the release may return shared
+//!   credit). Acquirability is monotone non-increasing between releases
+//!   on that key under both policies, which is what keeps the event
+//!   engine's parked-interval stall arithmetic exact.
 //!
 //! `Static(B)` is the degenerate pooling `pool = B · fanout,
 //! per_edge_min = per_edge_max = B` — asserted bit-identical by the
@@ -137,7 +144,7 @@
 //! winners extend their route and advance, losers stall and re-select
 //! next step (occupancies have changed). Because selection reads only
 //! start-of-step holder counts — the same convention arbitration already
-//! uses — the two engines stay bit-identical; the event engine merely
+//! uses — the engines stay bit-identical; the event engine merely
 //! runs *pending* worms park-free (a blocked pending worm's candidate
 //! set must be re-evaluated every step, so there is no single edge whose
 //! release is the unique wake condition; a frozen-route worm wants one
@@ -146,17 +153,12 @@
 //! jumps (route choice observes other worms' occupancies, so the
 //! edge-disjointness argument no longer applies).
 
-use rand::prelude::*;
-use rand::rngs::StdRng;
-
 use wormhole_topology::adaptive::AdaptiveRouter;
-use wormhole_topology::graph::{EdgeId, Graph, NodeId};
-use wormhole_topology::path::Path;
+use wormhole_topology::graph::Graph;
 
-use crate::config::{
-    Arbitration, BandwidthModel, BlockedPolicy, Engine, FinalEdgePolicy, RouteSelection, SimConfig,
-};
+use crate::config::{BandwidthModel, BlockedPolicy, Engine, RouteSelection, SimConfig};
 use crate::events::{DeadlockReport, TraceEvent, WaitFor};
+use crate::kernel::{Kernel, VcTable, Worm};
 use crate::message::MessageSpec;
 use crate::source::{ReplaySource, TrafficSource};
 use crate::stats::{DiscardReason, EngineFallback, MessageOutcome, Outcome, SimResult};
@@ -165,51 +167,6 @@ use crate::stats::{DiscardReason, EngineFallback, MessageOutcome, Outcome, SimRe
 const FLIT_UNINJECTED: u32 = 0;
 /// Restricted-model flit position: delivered.
 const FLIT_DELIVERED: u32 = u32::MAX;
-
-pub(crate) struct Worm {
-    /// Edges crossed by the (virtual) header pipeline; see module docs.
-    pub(crate) advance: u32,
-    /// Known path length. Fixed for oblivious worms; for adaptive worms
-    /// it grows with each route extension (and equals `advance` while
-    /// `pending_route`), freezing when the header reaches the
-    /// destination or the escape tail is appended.
-    pub(crate) hops: u32,
-    pub(crate) length: u32,
-    /// `true` while the route may still grow (adaptive worm whose header
-    /// has not committed to a complete path). Always `false` under
-    /// [`RouteSelection::Oblivious`].
-    pub(crate) pending_route: bool,
-}
-
-impl Worm {
-    #[inline]
-    pub(crate) fn done(&self) -> bool {
-        // A pending worm is never done: `advance == hops` merely means
-        // its header sits at the end of the known path awaiting the next
-        // hop (for L = 1 that coincides with `hops + length − 1`).
-        !self.pending_route && self.advance == self.hops + self.length - 1
-    }
-
-    /// 1-based range of path edges on which this worm currently holds a VC.
-    #[inline]
-    pub(crate) fn held_range(&self) -> (u32, u32) {
-        if self.advance == 0 {
-            return (1, 0); // empty
-        }
-        let lo = (self.advance + 1).saturating_sub(self.length).max(1);
-        let hi = self.advance.min(self.hops);
-        (lo, hi)
-    }
-
-    /// Number of flits that cross an edge when the worm advances once.
-    #[inline]
-    pub(crate) fn crossing_width(&self) -> u32 {
-        let next = self.advance + 1;
-        let lo = (next + 1).saturating_sub(self.length).max(1);
-        let hi = next.min(self.hops);
-        hi - lo + 1
-    }
-}
 
 /// Eagerly validates a spec slice against `graph` — the historical
 /// entry-point behavior (a bad spec panics before any simulation work),
@@ -333,248 +290,27 @@ pub fn run_traced(
     Sim::new(graph, None, &mut source, config, true).run_inner()
 }
 
-/// Seeds the stateless per-arbitration RNG for `(seed, t, e)`.
-///
-/// [`Arbitration::Random`] draws from a counter-based stream keyed by the
-/// configured seed, the flit step, and the edge id — never from a
-/// sequential global stream. Runs stay deterministic per seed, but the
-/// draw no longer depends on how many arbitration events preceded it,
-/// which is what lets the event-driven engine skip blocked steps and
-/// still reproduce the legacy stepper bit for bit.
-pub(crate) fn arb_rng(seed: u64, t: u64, e: usize) -> StdRng {
-    let mut x = seed
-        ^ t.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (e as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    x ^= x >> 33;
-    StdRng::seed_from_u64(x)
-}
-
-/// Orders `contenders` so the first `free` entries win the edge. Shared by
-/// both engines; every policy is canonical in the contender *set* (the
-/// engines discover contenders in different orders).
-pub(crate) fn order_contenders(
-    config: &SimConfig,
-    specs: &[MessageSpec],
-    t: u64,
-    e: usize,
-    contenders: &mut [u32],
-) {
-    match config.arbitration {
-        Arbitration::FifoById => contenders.sort_unstable(),
-        Arbitration::OldestFirst => {
-            contenders.sort_unstable_by_key(|&m| (specs[m as usize].release, m));
-        }
-        Arbitration::PriorityRank => {
-            contenders.sort_unstable_by_key(|&m| (specs[m as usize].priority, m));
-        }
-        Arbitration::Random => {
-            contenders.sort_unstable();
-            contenders.shuffle(&mut arb_rng(config.seed, t, e));
-        }
-    }
-}
-
-/// Flat per-step contender buckets: a CSR-style `(edge, msg)` arena that
-/// replaces the old one-`Vec`-per-edge scratch (which paid a heap
-/// allocation per contended edge and an `O(num_edges)` clear — doubled
-/// again on dateline-class graphs, where every physical channel is two
-/// parallel edges).
-///
-/// Usage per step: [`clear`](Self::clear), [`push`](Self::push) each
-/// contender, [`group`](Self::group) once, then iterate groups by index.
-/// Steady-state it never allocates.
-pub(crate) struct FlatBuckets {
-    /// `(edge, msg)` pairs in discovery order.
-    pairs: Vec<(u32, u32)>,
-    /// Distinct edges touched this step, in first-touch order.
-    touched: Vec<u32>,
-    /// Per-edge contender count, then scatter cursor (dense, reset via
-    /// `touched`).
-    count: Vec<u32>,
-    /// Contenders grouped contiguously per touched edge.
-    slots: Vec<u32>,
-    /// Group boundaries into `slots`, aligned with `touched` (+1 tail).
-    starts: Vec<u32>,
-}
-
-impl FlatBuckets {
-    pub(crate) fn with_edges(num_edges: usize) -> Self {
-        Self {
-            pairs: Vec::new(),
-            touched: Vec::new(),
-            count: vec![0; num_edges],
-            slots: Vec::new(),
-            starts: Vec::new(),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn clear(&mut self) {
-        for &e in &self.touched {
-            self.count[e as usize] = 0;
-        }
-        self.pairs.clear();
-        self.touched.clear();
-    }
-
-    /// Records `m` contending for edge `e`. Only valid before `group`.
-    #[inline]
-    pub(crate) fn push(&mut self, e: usize, m: u32) {
-        if self.count[e] == 0 {
-            self.touched.push(e as u32);
-        }
-        self.count[e] += 1;
-        self.pairs.push((e as u32, m));
-    }
-
-    /// Groups the pushed pairs into contiguous per-edge slices (first-touch
-    /// edge order; discovery order within an edge) and returns the group
-    /// count. Leaves `count` holding end offsets; `clear` resets it.
-    pub(crate) fn group(&mut self) -> usize {
-        self.starts.clear();
-        self.slots.clear();
-        self.slots.resize(self.pairs.len(), 0);
-        let mut off = 0u32;
-        self.starts.push(0);
-        for &e in &self.touched {
-            let c = self.count[e as usize];
-            self.count[e as usize] = off; // becomes the scatter cursor
-            off += c;
-            self.starts.push(off);
-        }
-        for &(e, m) in &self.pairs {
-            let cur = &mut self.count[e as usize];
-            self.slots[*cur as usize] = m;
-            *cur += 1;
-        }
-        self.touched.len()
-    }
-
-    /// The edge of group `i` (valid after `group`).
-    #[inline]
-    pub(crate) fn edge(&self, i: usize) -> usize {
-        self.touched[i] as usize
-    }
-
-    /// The contenders of group `i` (valid after `group`).
-    #[inline]
-    pub(crate) fn group_mut(&mut self, i: usize) -> &mut [u32] {
-        let (s, e) = (self.starts[i] as usize, self.starts[i + 1] as usize);
-        &mut self.slots[s..e]
-    }
-}
-
-/// The wanted-hop decision of a pending adaptive worm, refreshed every
-/// step it classifies (occupancies change, so yesterday's choice is
-/// stale). Read back by the apply phase (route extension) and by the
-/// deadlock report / blocked tracing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum SelectedHop {
-    /// Not yet classified this run (fresh worm before its first step).
-    None,
-    /// Extend by one adaptive-lane hop. `misroute` spends one unit of
-    /// the worm's [`SimConfig::misroute_quota`] when crossed.
-    Adaptive { edge: u32, misroute: bool },
-    /// Fall back to the escape network: contend for `edge` (the first
-    /// escape hop from the current node) and, on winning, append the
-    /// whole escape route and freeze the path.
-    Escape { edge: u32 },
-}
-
-impl SelectedHop {
-    /// The wanted edge id, if a selection was made.
-    #[inline]
-    pub(crate) fn edge(self) -> Option<u32> {
-        match self {
-            SelectedHop::None => None,
-            SelectedHop::Adaptive { edge, .. } | SelectedHop::Escape { edge } => Some(edge),
-        }
-    }
-}
-
-/// Per-run adaptive routing state (present iff the config asks for a
-/// non-oblivious [`RouteSelection`]).
-pub(crate) struct AdaptiveState<'a> {
-    /// Candidate enumeration and escape continuations.
-    pub(crate) router: &'a dyn AdaptiveRouter,
-    /// Incrementally built route per message: the adaptive prefix plus,
-    /// after a fallback, the escape tail. Replaces `spec.path` as the
-    /// source of truth for [`Sim::path_edge`].
-    pub(crate) routes: Vec<Vec<EdgeId>>,
-    /// Injection node per message (head position at `advance == 0`).
-    pub(crate) src: Vec<NodeId>,
-    /// Destination node per message.
-    pub(crate) dst: Vec<NodeId>,
-    /// Remaining misroute budget per message (`FullyAdaptive`).
-    pub(crate) budget: Vec<u32>,
-    /// Wanted-hop selection per message (see [`SelectedHop`]).
-    pub(crate) selected: Vec<SelectedHop>,
-    /// Candidate scratch for [`AdaptiveRouter::candidates`].
-    cand: Vec<(EdgeId, bool)>,
-    /// Worms that fell back onto the escape network.
-    pub(crate) escape_fallbacks: u64,
-    /// Non-minimal hops crossed.
-    pub(crate) misroute_hops: u64,
-}
-
 pub(crate) struct Sim<'a> {
-    /// Per-id specs, grown as the source emits messages (placeholder
-    /// slots for ids not yet seen — never activated, so never stepped).
-    pub(crate) specs: Vec<MessageSpec>,
     pub(crate) config: &'a SimConfig,
     /// The simulated graph (admission-time validation, adaptive
     /// endpoint lookup, and the parallel engine's region layout).
     pub(crate) graph: &'a Graph,
     /// The message stream driving the run (see [`TrafficSource`]).
     source: &'a mut dyn TrafficSource,
+    /// Per-id message records, grown as the source emits messages
+    /// (placeholder slots for ids not yet seen — never activated, so
+    /// never stepped).
     pub(crate) worms: Vec<Worm>,
-    pub(crate) outcomes: Vec<MessageOutcome>,
-    /// VCs currently held per edge.
-    pub(crate) holders: Vec<u16>,
-    /// Edge → source-router index (`graph.edge_sources()` copy): the
-    /// `O(1)` hop from an acquisition/release to the router whose pool
-    /// it debits.
-    pub(crate) edge_src: Vec<u32>,
-    /// VCs currently held across the outgoing edges of each router
-    /// (Σ `holders` per source node) — maintained under both policies so
-    /// `max_pool_in_use` is policy- and engine-identical.
-    pub(crate) pool_used: Vec<u32>,
-    /// [`VcPolicy::RouterPooled`] only: VCs drawn from each router's
-    /// *shared* portion, Σ over out-edges of `max(0, holders − floor)`.
-    /// Empty under the static policy.
-    pub(crate) shared_used: Vec<u32>,
-    /// Pooled only: each router's shared-portion capacity,
-    /// `pool − per_edge_min · fanout`. Empty under the static policy.
-    shared_cap: Vec<u32>,
-    /// Pooled arbitration scratch: shared credits already granted to
-    /// earlier (lower-id) edges of the same router within this step.
-    planned_shared: Vec<u32>,
-    /// Routers with nonzero `planned_shared` this step (reset list).
-    touched_routers: Vec<u32>,
-    /// Pooled arbitration scratch: bucket-group indices in ascending
-    /// edge-id order (the canonical shared-credit grant order).
-    group_order: Vec<u32>,
-    /// Cached [`VcPolicy`] decomposition: `true` iff router-pooled.
-    pub(crate) pooled: bool,
-    /// Guaranteed VCs per edge (`B` under the static policy).
-    per_edge_min: u32,
-    /// Hard per-edge cap (`B` under the static policy).
-    per_edge_max: u32,
-    /// Pool size per router (0 under the static policy — unused).
-    pool: u32,
-    /// Per-step contender scratch (see [`FlatBuckets`]).
-    pub(crate) buckets: FlatBuckets,
+    /// The step rules and the whole graph's VC table.
+    pub(crate) k: Kernel<'a>,
     /// Released-and-unretired message ids in admission order. The
     /// legacy stepper maintains it each step; the event engine rebuilds it
     /// on demand ([`Sim::rebuild_active`]) for cold paths only.
     pub(crate) active: Vec<u32>,
     /// Every admitted id, in admission order — the source's `(release,
-    /// id)` emission order, which is exactly the order the old
-    /// release-sorted scan produced. [`Sim::rebuild_active`] iterates it.
+    /// id)` emission order. [`Sim::rebuild_active`] iterates it.
     admitted: Vec<u32>,
-    /// Per-id: `true` once the slot holds a real (admitted) spec.
+    /// Per-id: `true` once the slot holds a real (admitted) record.
     admitted_flag: Vec<bool>,
     /// Scratch for [`TrafficSource::take_ready`].
     ready_buf: Vec<(u32, MessageSpec)>,
@@ -584,20 +320,8 @@ pub(crate) struct Sim<'a> {
     /// Cached [`TrafficSource::reactive`] — `true` disables the event
     /// engine's batched fast-forwards.
     pub(crate) reactive: bool,
-    pub(crate) movers: Vec<u32>,
-    pub(crate) blocked: Vec<u32>,
-    pub(crate) max_vcs: u16,
-    pub(crate) max_pool: u32,
-    pub(crate) flit_hops: u64,
     pub(crate) last_finish: u64,
     pub(crate) unfinished: usize,
-    /// Edges acquired this step; drained by [`Sim::settle_max_vcs`].
-    acquired: Vec<u32>,
-    /// Edges whose holder count dropped this step. Only populated while
-    /// `track_releases` (the event engine sets it exactly while any worm
-    /// is parked); the legacy stepper never reads it.
-    pub(crate) released: Vec<u32>,
-    pub(crate) track_releases: bool,
     /// Bandwidth tokens per edge (restricted model scratch).
     tokens_used: Vec<bool>,
     token_touched: Vec<u32>,
@@ -611,10 +335,6 @@ pub(crate) struct Sim<'a> {
     /// inner loop skips the delivered prefix instead of rescanning all
     /// `L` positions every step.
     rfirst: Vec<u32>,
-    pub(crate) num_edges: usize,
-    /// Per-edge dead flags from applied fault kills. Empty when the run
-    /// has no fault plan, so the hot-path guard is a single `is_empty`.
-    dead: Vec<bool>,
     /// Expanded per-edge kill schedule from [`SimConfig::faults`]:
     /// ascending `(at, edge)`, router kills expanded to their incident
     /// edges, earliest kill time kept per edge
@@ -625,16 +345,6 @@ pub(crate) struct Sim<'a> {
     /// Worms discarded because a kill severed them
     /// ([`DiscardReason::LinkDown`]).
     fault_discards: u64,
-    /// Misroute hops taken after the first applied kill.
-    fault_detour_hops: u64,
-    /// Pending adaptive worms whose only remaining option this step — the
-    /// escape continuation — crosses a dead edge. Classification parks
-    /// them here and the apply phase discards them, so mid-step holder
-    /// counts (which selection reads) stay identical across engines.
-    pub(crate) doomed: Vec<u32>,
-    /// Adaptive routing state; `Some` iff `config.route_selection` is
-    /// non-oblivious.
-    pub(crate) adaptive: Option<AdaptiveState<'a>>,
     tracing: bool,
     trace: Vec<TraceEvent>,
 }
@@ -648,54 +358,16 @@ impl<'a> Sim<'a> {
         tracing: bool,
     ) -> Self {
         config.vc_policy.validate();
-        let (pooled, per_edge_min, per_edge_max, pool) = match config.vc_policy {
-            crate::config::VcPolicy::Static(b) => (false, b, b, 0),
-            crate::config::VcPolicy::RouterPooled {
-                pool,
-                per_edge_min,
-                per_edge_max,
-            } => (true, per_edge_min, per_edge_max, pool),
-        };
-        let shared_cap = if pooled {
+        if config.vc_policy.is_pooled() {
             assert_eq!(
                 config.bandwidth,
                 BandwidthModel::BFlitsPerStep,
                 "RouterPooled VC allocation requires the full-bandwidth model"
             );
-            // Graph-dependent validation: every router must be able to
-            // honor its floors out of the pool.
-            graph
-                .nodes()
-                .map(|v| {
-                    let fanout = graph.out_degree(v) as u32;
-                    pool.checked_sub(per_edge_min * fanout).unwrap_or_else(|| {
-                        panic!(
-                            "router {v:?}: per_edge_min {per_edge_min} x fanout {fanout} \
-                             exceeds pool {pool}"
-                        )
-                    })
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let adaptive_mode = config.route_selection != RouteSelection::Oblivious;
-        let adaptive = if adaptive_mode {
-            let router = router.expect("adaptive route selection needs a router");
-            Some(AdaptiveState {
-                router,
-                routes: Vec::new(),
-                src: Vec::new(),
-                dst: Vec::new(),
-                budget: Vec::new(),
-                selected: Vec::new(),
-                cand: Vec::new(),
-                escape_fallbacks: 0,
-                misroute_hops: 0,
-            })
-        } else {
-            None
-        };
+        }
+        let vc = VcTable::new(graph, config.vc_policy);
+        let router = (config.route_selection != RouteSelection::Oblivious)
+            .then(|| router.expect("adaptive route selection needs a router"));
         let kill_schedule = match &config.faults {
             Some(plan) if !plan.is_empty() => {
                 assert_eq!(
@@ -710,61 +382,31 @@ impl<'a> Sim<'a> {
             }
             _ => Vec::new(),
         };
-        let dead = if kill_schedule.is_empty() {
-            Vec::new()
-        } else {
-            vec![false; graph.num_edges()]
-        };
         let reactive = source.reactive();
+        // Size the record table once when the source knows its ids.
+        let worms = Vec::with_capacity(source.id_bound().unwrap_or(0) as usize);
         Self {
-            specs: Vec::new(),
             config,
             graph,
             source,
-            worms: Vec::new(),
-            outcomes: Vec::new(),
-            holders: vec![0; graph.num_edges()],
-            edge_src: graph.edge_sources().to_vec(),
-            pool_used: vec![0; graph.num_nodes()],
-            shared_used: vec![0; if pooled { graph.num_nodes() } else { 0 }],
-            shared_cap,
-            planned_shared: vec![0; if pooled { graph.num_nodes() } else { 0 }],
-            touched_routers: Vec::new(),
-            group_order: Vec::new(),
-            pooled,
-            per_edge_min,
-            per_edge_max,
-            pool,
-            buckets: FlatBuckets::with_edges(graph.num_edges()),
+            worms,
+            k: Kernel::new(config, router, vc),
             active: Vec::new(),
             admitted: Vec::new(),
             admitted_flag: Vec::new(),
             ready_buf: Vec::new(),
             delivery_buf: Vec::new(),
             reactive,
-            movers: Vec::new(),
-            blocked: Vec::new(),
-            max_vcs: 0,
-            max_pool: 0,
-            flit_hops: 0,
             last_finish: 0,
             unfinished: 0,
-            acquired: Vec::new(),
-            released: Vec::new(),
-            track_releases: false,
             tokens_used: vec![false; graph.num_edges()],
             token_touched: Vec::new(),
             flit_pos: Vec::new(),
             rdelivered: Vec::new(),
             rfirst: Vec::new(),
-            num_edges: graph.num_edges(),
-            dead,
             kill_schedule,
             next_kill: 0,
             fault_discards: 0,
-            fault_detour_hops: 0,
-            doomed: Vec::new(),
-            adaptive,
             tracing,
             trace: Vec::new(),
         }
@@ -773,13 +415,7 @@ impl<'a> Sim<'a> {
     /// Whether fault injection is active for this run.
     #[inline]
     pub(crate) fn faulted(&self) -> bool {
-        !self.dead.is_empty()
-    }
-
-    /// Whether edge `e` has been killed by an applied fault.
-    #[inline]
-    fn is_dead(&self, e: usize) -> bool {
-        !self.dead.is_empty() && self.dead[e]
+        !self.kill_schedule.is_empty()
     }
 
     /// Earliest unapplied kill time (`u64::MAX` when exhausted) — the
@@ -807,53 +443,30 @@ impl<'a> Sim<'a> {
             if at > t {
                 break;
             }
-            self.dead[e as usize] = true;
+            self.k.vc.kill(e as usize);
             self.next_kill += 1;
         }
         // Severed scan in admission order — the canonical order shared
-        // by both engines (discard order only matters through the
-        // already-sorted completion flush, but keeping it canonical
-        // costs nothing).
+        // by both engines.
         for i in 0..self.admitted.len() {
             let m = self.admitted[i];
-            let mi = m as usize;
-            if self.worms[mi].done() || self.outcomes[mi].discarded.is_some() {
-                continue;
-            }
-            if self.worm_severed(m) {
-                self.discard(m, t, DiscardReason::LinkDown);
+            let w = &self.worms[m as usize];
+            if !w.retired() && self.worm_severed(w) {
+                self.commit_discard(m, t, DiscardReason::LinkDown);
             }
         }
         true
     }
 
-    /// Whether a kill cut worm `m`: its flits currently occupy a dead
+    /// Whether a kill cut worm `w`: its flits currently occupy a dead
     /// edge, or its frozen route still has a dead edge ahead of the
     /// header. A pending (adaptive) worm has no committed continuation,
     /// so only its held span can sever it — its future hops re-route
     /// around the dead edges instead.
-    fn worm_severed(&self, m: u32) -> bool {
-        let w = &self.worms[m as usize];
+    fn worm_severed(&self, w: &Worm) -> bool {
         let (lo, hi) = w.held_range();
-        for j in lo..=hi {
-            if self.is_dead(self.path_edge(m, j)) {
-                return true;
-            }
-        }
-        if !w.pending_route {
-            for j in (w.advance + 1)..=w.hops {
-                if self.is_dead(self.path_edge(m, j)) {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    /// Number of routers (nodes) in the simulated graph.
-    #[inline]
-    pub(crate) fn num_nodes(&self) -> usize {
-        self.pool_used.len()
+        let end = if w.pending_route { hi } else { w.hops };
+        (lo..=end).any(|j| self.k.vc.is_dead(w.edge(j)))
     }
 
     /// Installs `spec` as message `id`, growing every per-message array
@@ -863,38 +476,22 @@ impl<'a> Sim<'a> {
     fn admit(&mut self, id: u32, spec: MessageSpec, now: u64) {
         let mi = id as usize;
         let restricted = self.config.bandwidth == BandwidthModel::OneFlitPerStep;
-        while self.specs.len() <= mi {
-            self.specs.push(MessageSpec {
-                path: Path::new(Vec::new()),
-                length: 1,
-                release: 0,
-                priority: 0,
-            });
-            self.worms.push(Worm {
-                advance: 0,
-                hops: 0,
-                length: 1,
-                pending_route: false,
-            });
-            self.outcomes.push(MessageOutcome::default());
-            self.rdelivered.push(0);
-            self.admitted_flag.push(false);
+        if self.worms.len() <= mi {
+            self.worms.resize_with(mi + 1, Worm::default);
+            self.admitted_flag.resize(mi + 1, false);
             if restricted {
-                self.flit_pos.push(Vec::new());
-                self.rfirst.push(0);
-            }
-            if let Some(ad) = &mut self.adaptive {
-                ad.routes.push(Vec::new());
-                ad.src.push(NodeId(0));
-                ad.dst.push(NodeId(0));
-                ad.budget.push(0);
-                ad.selected.push(SelectedHop::None);
+                self.flit_pos.resize(mi + 1, Vec::new());
+                self.rdelivered.resize(mi + 1, 0);
+                self.rfirst.resize(mi + 1, 0);
             }
         }
         assert!(!self.admitted_flag[mi], "source re-emitted message id {id}");
         assert!(!spec.path.is_empty(), "message {id} has an empty path");
         for &e in spec.path.edges() {
-            assert!(e.idx() < self.num_edges, "message {id}: bad edge id");
+            assert!(
+                e.idx() < self.graph.num_edges(),
+                "message {id}: bad edge id"
+            );
         }
         assert!(spec.length >= 1, "message {id} has zero length");
         assert!(
@@ -902,41 +499,27 @@ impl<'a> Sim<'a> {
             "message {id} emitted before its release ({} > {now})",
             spec.release
         );
-        let adaptive_mode = self.adaptive.is_some();
-        self.worms[mi] = Worm {
-            advance: 0,
-            hops: if adaptive_mode { 0 } else { spec.hops() },
-            length: spec.length,
-            pending_route: adaptive_mode,
-        };
         if restricted {
             self.flit_pos[mi] = vec![FLIT_UNINJECTED; spec.length as usize];
-            self.rfirst[mi] = 0;
         }
-        if let Some(ad) = &mut self.adaptive {
-            ad.routes[mi] = Vec::with_capacity(spec.hops() as usize);
-            ad.src[mi] = spec.path.src(self.graph);
-            ad.dst[mi] = spec.path.dst(self.graph);
-            ad.budget[mi] = self.config.misroute_quota;
-            ad.selected[mi] = SelectedHop::None;
-        }
+        let adaptive = self
+            .k
+            .router
+            .map(|_| (self.graph, self.config.misroute_quota));
+        self.worms[mi] = Worm::new(id, spec, adaptive);
         self.admitted_flag[mi] = true;
-        self.specs[mi] = spec;
         self.unfinished += 1;
         self.admitted.push(id);
         // A frozen-route message released onto an already-dead edge is
         // undeliverable: discard it on the spot (it holds nothing yet) so
         // the source's `on_discarded` fires and closed-loop sources can
         // reissue. Adaptive messages stay: they route around dead edges.
-        if self.faulted()
-            && !adaptive_mode
-            && self.specs[mi]
-                .path
-                .edges()
-                .iter()
-                .any(|&e| self.dead[e.idx()])
+        let w = &self.worms[mi];
+        if self.k.vc.any_dead()
+            && !w.pending_route
+            && w.route.edges().iter().any(|e| self.k.vc.is_dead(e.idx()))
         {
-            self.discard(id, now, DiscardReason::LinkDown);
+            self.commit_discard(id, now, DiscardReason::LinkDown);
         }
     }
 
@@ -973,406 +556,20 @@ impl<'a> Sim<'a> {
     }
 
     /// Flushes completions, then pulls and admits every message released
-    /// by `now`. Returns the `self.admitted` index range of the new ids.
-    pub(crate) fn admit_ready(&mut self, now: u64) -> std::ops::Range<usize> {
+    /// by `now`, appending to `live` the ids of those that entered the
+    /// network (not discarded on arrival), in admission order.
+    pub(crate) fn admit_ready(&mut self, now: u64, live: &mut Vec<u32>) {
         self.flush_deliveries();
-        let start = self.admitted.len();
         let mut buf = std::mem::take(&mut self.ready_buf);
         buf.clear();
         self.source.take_ready(now, &mut buf);
         for (id, spec) in buf.drain(..) {
             self.admit(id, spec, now);
+            if self.worms[id as usize].out.discarded.is_none() {
+                live.push(id);
+            }
         }
         self.ready_buf = buf;
-        start..self.admitted.len()
-    }
-
-    /// Id of the `i`-th admitted message (admission order).
-    #[inline]
-    pub(crate) fn admitted_id(&self, i: usize) -> u32 {
-        self.admitted[i]
-    }
-
-    /// Whether crossing 1-based path edge `edge_1based` requires holding
-    /// a VC. An edge strictly before the end of the path always does; so
-    /// does the newest edge of a still-growing route (`pending_route` —
-    /// nothing marks it final yet, and `hops` only grows, so the answer
-    /// is stable from acquisition to release); the true final edge
-    /// follows [`FinalEdgePolicy`].
-    #[inline]
-    pub(crate) fn needs_vc(&self, worm: &Worm, edge_1based: u32) -> bool {
-        edge_1based < worm.hops
-            || worm.pending_route
-            || self.config.final_edge == FinalEdgePolicy::RequiresVc
-    }
-
-    #[inline]
-    pub(crate) fn path_edge(&self, msg: u32, edge_1based: u32) -> usize {
-        match &self.adaptive {
-            Some(ad) => ad.routes[msg as usize][edge_1based as usize - 1].idx(),
-            None => self.specs[msg as usize].path.edges()[edge_1based as usize - 1].idx(),
-        }
-    }
-
-    /// How many additional VCs edge `e` can grant right now — the
-    /// policy query every capacity decision routes through. Static:
-    /// `B − holders`. Pooled: below the floor is free; past it, each VC
-    /// draws one credit from the source router's shared portion; the
-    /// per-edge cap always binds.
-    #[inline]
-    pub(crate) fn free_vcs(&self, e: usize) -> u32 {
-        if self.is_dead(e) {
-            return 0; // a killed edge never grants another VC
-        }
-        let h = self.holders[e] as u32;
-        let cap_free = self.per_edge_max.saturating_sub(h);
-        if !self.pooled {
-            return cap_free;
-        }
-        let r = self.edge_src[e] as usize;
-        let floor_free = self.per_edge_min.saturating_sub(h);
-        cap_free.min(floor_free + (self.shared_cap[r] - self.shared_used[r]))
-    }
-
-    /// Whether edge `e` could grant at least one VC right now. Under
-    /// either policy this is **monotone**: acquisitions by other worms
-    /// only reduce it, and it recovers only when a release lands on `e`
-    /// itself (static) or on any outgoing edge of `e`'s source router
-    /// (pooled) — the property the event engine's park/wake keying
-    /// relies on.
-    #[inline]
-    pub(crate) fn edge_acquirable(&self, e: usize) -> bool {
-        self.free_vcs(e) > 0
-    }
-
-    /// The event engine's park/wake key for a worm blocked on edge `e`:
-    /// the edge itself under the static policy (only a release there can
-    /// unblock it), the source router under pooling (a release on *any*
-    /// sibling edge can return shared credit — the pool-release wakeup
-    /// rule).
-    #[inline]
-    pub(crate) fn wait_key(&self, e: usize) -> usize {
-        if self.pooled {
-            self.edge_src[e] as usize
-        } else {
-            e
-        }
-    }
-
-    /// Hard capacity-invariant check for edge `e`: the per-edge cap, and
-    /// under pooling the source router's shared-portion and total-pool
-    /// bounds. One checked helper instead of per-call-site assertions.
-    pub(crate) fn check_capacity(&self, e: usize) {
-        let h = self.holders[e] as u32;
-        assert!(
-            h <= self.per_edge_max,
-            "edge {e} holds {h} > {} VCs",
-            self.per_edge_max
-        );
-        if self.pooled {
-            let r = self.edge_src[e] as usize;
-            assert!(
-                self.shared_used[r] <= self.shared_cap[r],
-                "router {r} draws {} > {} shared VCs",
-                self.shared_used[r],
-                self.shared_cap[r]
-            );
-            assert!(
-                self.pool_used[r] <= self.pool,
-                "router {r} holds {} > pool {} VCs",
-                self.pool_used[r],
-                self.pool
-            );
-        }
-    }
-
-    /// [`Sim::check_capacity`] in debug builds only (the hot-path guard
-    /// at every acquisition).
-    #[inline]
-    fn debug_check_capacity(&self, e: usize) {
-        if cfg!(debug_assertions) {
-            self.check_capacity(e);
-        }
-    }
-
-    /// Acquires one VC on `e`, updating the per-router pool accounting.
-    /// The caller handles `acquired`/`max_vcs` bookkeeping (it differs
-    /// between the full-bandwidth and restricted steppers).
-    #[inline]
-    fn acquire_vc(&mut self, e: usize) {
-        let h = self.holders[e];
-        self.holders[e] = h + 1;
-        let r = self.edge_src[e] as usize;
-        self.pool_used[r] += 1;
-        if self.pooled && h as u32 >= self.per_edge_min {
-            self.shared_used[r] += 1;
-        }
-        self.debug_check_capacity(e);
-    }
-
-    /// Selects the wanted hop for pending worm `m` from start-of-step
-    /// state and records it in the adaptive scratch. Pure in the sense
-    /// that two engines evaluating it at the same step with the same
-    /// holder counts make the same choice:
-    ///
-    /// 1. profitable adaptive candidate with a free VC, minimizing
-    ///    `(holder count, edge id)`;
-    /// 2. else (fully adaptive, budget left) the same rule over the
-    ///    misroute candidates, u-turns excluded;
-    /// 3. else the first hop of the escape route from the current node.
-    fn select_pending(&mut self, m: u32) -> SelectedHop {
-        let mi = m as usize;
-        let a = self.worms[mi].advance as usize;
-        let fully = self.config.route_selection == RouteSelection::FullyAdaptive;
-        // Take the candidate scratch out of the adaptive state so the
-        // filter below can call the shared [`Sim::edge_acquirable`]
-        // policy query (one implementation for arbitration, parking,
-        // and candidate filtering) without a conflicting borrow.
-        let mut cand = std::mem::take(
-            &mut self
-                .adaptive
-                .as_mut()
-                .expect("pending worm without a router")
-                .cand,
-        );
-        let ad = self.adaptive.as_ref().unwrap();
-        let router = ad.router;
-        let g = router.graph();
-        let (head, prev) = if a == 0 {
-            (ad.src[mi], None)
-        } else {
-            let e = ad.routes[mi][a - 1];
-            (g.dst(e), Some(g.src(e)))
-        };
-        let dst = ad.dst[mi];
-        debug_assert_ne!(head, dst, "pending worm already at its destination");
-        let misroutes_ok = fully && ad.budget[mi] > 0;
-        cand.clear();
-        router.candidates(head, dst, misroutes_ok, &mut cand);
-        // Candidate filter: the same acquirability query the arbitration
-        // phase runs, on start-of-step state — so both engines see
-        // identical candidate sets. Tie-break key: (start-of-step holder
-        // count, edge id), both engine-independent, which is what keeps
-        // adaptive runs inside the differential-oracle relation.
-        let best = |want_profitable: bool, skip: Option<NodeId>| {
-            cand.iter()
-                .filter(|&&(e, p)| p == want_profitable && self.edge_acquirable(e.idx()))
-                .filter(|&&(e, _)| skip != Some(g.dst(e)))
-                .map(|&(e, _)| (self.holders[e.idx()], e.0))
-                .min()
-        };
-        let sel = if let Some((_, edge)) = best(true, None) {
-            SelectedHop::Adaptive {
-                edge,
-                misroute: false,
-            }
-        } else if let Some((_, edge)) = misroutes_ok.then(|| best(false, prev)).flatten() {
-            SelectedHop::Adaptive {
-                edge,
-                misroute: true,
-            }
-        } else {
-            SelectedHop::Escape {
-                edge: router.escape_hop(head, dst).0,
-            }
-        };
-        let ad = self.adaptive.as_mut().unwrap();
-        ad.cand = cand;
-        ad.selected[mi] = sel;
-        sel
-    }
-
-    /// Classifies one active worm for this step: draining worms and
-    /// VC-free final hops go to `movers`, everything else contends in
-    /// `buckets` for its wanted edge. Shared by both engines (they only
-    /// differ in which list they iterate).
-    pub(crate) fn classify(&mut self, m: u32) {
-        let w = &self.worms[m as usize];
-        if w.pending_route {
-            // Header at the end of the known path: select the next hop.
-            let sel = self.select_pending(m);
-            let edge = sel.edge().expect("selection always yields a hop");
-            // Under faults, falling back to a severed escape continuation
-            // means the worm has nowhere left to go: the adaptive
-            // candidates are already filtered to live edges, and the
-            // escape route is the only guaranteed-progress fallback. Doom
-            // it — the apply phase discards it with `LinkDown`, after
-            // arbitration, so selection by other pending worms this step
-            // still reads unchanged start-of-step holder counts. (A
-            // fault-aware router's escape routes avoid dead edges, so
-            // this only fires for fault-oblivious escape routing.)
-            if self.faulted() {
-                if let SelectedHop::Escape { edge } = sel {
-                    let ad = self.adaptive.as_ref().unwrap();
-                    let head = ad.router.graph().src(EdgeId(edge));
-                    let tail = ad.router.escape_route(head, ad.dst[m as usize]);
-                    if tail.edges().iter().any(|&e| self.dead[e.idx()]) {
-                        self.doomed.push(m);
-                        return;
-                    }
-                }
-            }
-            let ad = self.adaptive.as_ref().unwrap();
-            let lands_final = ad.router.graph().dst(EdgeId(edge)) == ad.dst[m as usize];
-            if lands_final && self.config.final_edge == FinalEdgePolicy::Unlimited {
-                self.movers.push(m); // delivery absorbs without a VC
-            } else {
-                self.buckets.push(edge as usize, m);
-            }
-            return;
-        }
-        if w.advance >= w.hops {
-            self.movers.push(m); // draining into the delivery buffer
-        } else {
-            let next = w.advance + 1;
-            if self.needs_vc(w, next) {
-                let e = self.path_edge(m, next);
-                self.buckets.push(e, m);
-            } else {
-                self.movers.push(m);
-            }
-        }
-    }
-
-    /// The edge a blocked worm wanted this step (for traces and the
-    /// deadlock report): the freshly selected hop for pending worms, the
-    /// next path edge otherwise.
-    pub(crate) fn blocked_edge(&self, m: u32) -> u32 {
-        let w = &self.worms[m as usize];
-        if w.pending_route {
-            self.adaptive.as_ref().unwrap().selected[m as usize]
-                .edge()
-                .expect("blocked pending worm was classified")
-        } else {
-            self.path_edge(m, w.advance + 1) as u32
-        }
-    }
-
-    /// Phase-2 arbitration, shared by both engines: groups this step's
-    /// contenders ([`FlatBuckets::group`]), splits each edge's group
-    /// into winners (`movers`) and losers (`blocked`) from start-of-step
-    /// holder counts.
-    ///
-    /// Under [`VcPolicy::RouterPooled`] sibling edges of one router can
-    /// compete for the same shared credits within a single step, so the
-    /// per-edge `free` counts are **allocated in ascending edge-id
-    /// order** (tracked in `planned_shared`): a canonical rule that
-    /// depends only on start-of-step state and the contender *sets* —
-    /// both engine-independent — never on the order the engines
-    /// discovered the groups in. The static policy needs no such
-    /// cross-edge accounting and keeps the plain per-edge split.
-    ///
-    /// [`VcPolicy::RouterPooled`]: crate::config::VcPolicy::RouterPooled
-    pub(crate) fn arbitrate(&mut self, t: u64) {
-        let groups = self.buckets.group();
-        if !self.pooled {
-            for gi in 0..groups {
-                let e = self.buckets.edge(gi);
-                let free = self.free_vcs(e) as usize;
-                let group = self.buckets.group_mut(gi);
-                if group.len() > free {
-                    if free == 0 {
-                        self.blocked.extend_from_slice(group);
-                        continue;
-                    }
-                    order_contenders(self.config, &self.specs, t, e, group);
-                    self.blocked.extend_from_slice(&group[free..]);
-                    self.movers.extend_from_slice(&group[..free]);
-                } else {
-                    self.movers.extend_from_slice(group);
-                }
-            }
-            return;
-        }
-        {
-            let Sim {
-                group_order,
-                buckets,
-                ..
-            } = self;
-            group_order.clear();
-            group_order.extend(0..groups as u32);
-            group_order.sort_unstable_by_key(|&gi| buckets.edge(gi as usize));
-        }
-        for i in 0..self.group_order.len() {
-            let gi = self.group_order[i] as usize;
-            let e = self.buckets.edge(gi);
-            let r = self.edge_src[e] as usize;
-            let h = self.holders[e] as u32;
-            let floor_free = self.per_edge_min.saturating_sub(h);
-            let shared_free =
-                (self.shared_cap[r] - self.shared_used[r]).saturating_sub(self.planned_shared[r]);
-            let free = if self.is_dead(e) {
-                0 // defensive: severed worms are discarded before classify
-            } else {
-                (self.per_edge_max.saturating_sub(h)).min(floor_free + shared_free) as usize
-            };
-            let group = self.buckets.group_mut(gi);
-            if free == 0 {
-                self.blocked.extend_from_slice(group);
-                continue;
-            }
-            let granted = if group.len() > free {
-                order_contenders(self.config, &self.specs, t, e, group);
-                self.blocked.extend_from_slice(&group[free..]);
-                self.movers.extend_from_slice(&group[..free]);
-                free as u32
-            } else {
-                self.movers.extend_from_slice(group);
-                group.len() as u32
-            };
-            let shared_taken = granted.saturating_sub(floor_free);
-            if shared_taken > 0 {
-                if self.planned_shared[r] == 0 {
-                    self.touched_routers.push(r as u32);
-                }
-                self.planned_shared[r] += shared_taken;
-            }
-        }
-        for i in 0..self.touched_routers.len() {
-            self.planned_shared[self.touched_routers[i] as usize] = 0;
-        }
-        self.touched_routers.clear();
-    }
-
-    /// Commits pending worm `m`'s selected hop just before it advances:
-    /// one adaptive edge (spending misroute budget where flagged), or
-    /// the whole escape tail — after which the route is frozen and the
-    /// worm is an ordinary oblivious worm for the rest of its journey.
-    fn extend_route(&mut self, m: u32) {
-        let mi = m as usize;
-        let post_fault = self.next_kill > 0;
-        let ad = self.adaptive.as_mut().expect("pending worm without state");
-        debug_assert_eq!(ad.routes[mi].len() as u32, self.worms[mi].advance);
-        match ad.selected[mi] {
-            SelectedHop::Adaptive { edge, misroute } => {
-                let e = EdgeId(edge);
-                ad.routes[mi].push(e);
-                if misroute {
-                    ad.misroute_hops += 1;
-                    ad.budget[mi] -= 1;
-                    if post_fault {
-                        self.fault_detour_hops += 1;
-                    }
-                }
-                let arrived = ad.router.graph().dst(e) == ad.dst[mi];
-                self.worms[mi].hops += 1;
-                if arrived {
-                    self.worms[mi].pending_route = false;
-                }
-            }
-            SelectedHop::Escape { edge } => {
-                let router = ad.router;
-                let head = router.graph().src(EdgeId(edge));
-                let tail = router.escape_route(head, ad.dst[mi]);
-                debug_assert_eq!(tail.edges()[0], EdgeId(edge));
-                ad.routes[mi].extend_from_slice(tail.edges());
-                ad.escape_fallbacks += 1;
-                self.worms[mi].hops += tail.len() as u32;
-                self.worms[mi].pending_route = false;
-            }
-            SelectedHop::None => unreachable!("pending worm advanced without a selection"),
-        }
     }
 
     fn run_inner(mut self) -> (SimResult, Vec<TraceEvent>) {
@@ -1382,10 +579,8 @@ impl<'a> Sim<'a> {
         // result (`SimResult::engine_fallback`) — never silently.
         let engine_fallback = if let Engine::Parallel { .. } = self.config.engine {
             if self.faulted() {
-                // Adaptive routing runs natively in the parallel engine;
-                // fault plans are the one remaining routing fallback
-                // (kills apply globally at start-of-step, which the
-                // windowed scheme cannot yet reproduce).
+                // Kills apply globally at start-of-step, which the
+                // windowed scheme cannot yet reproduce.
                 Some(EngineFallback::FaultInjection)
             } else if self.config.bandwidth == BandwidthModel::OneFlitPerStep {
                 Some(EngineFallback::RestrictedBandwidth)
@@ -1397,51 +592,45 @@ impl<'a> Sim<'a> {
         } else {
             None
         };
-        let use_event = match self.config.engine {
-            Engine::EventDriven => {
-                self.config.bandwidth == BandwidthModel::BFlitsPerStep && !self.tracing
+        // A fallback run picks the fastest sequential engine that
+        // accepts the configuration.
+        let sequential_event =
+            self.config.bandwidth == BandwidthModel::BFlitsPerStep && !self.tracing;
+        let (outcome, t, deadlock_report) = match self.config.engine {
+            Engine::Parallel { threads } if engine_fallback.is_none() => {
+                crate::parallel::drive(&mut self, threads)
             }
-            // A fallback run picks the fastest sequential engine that
-            // accepts the configuration.
-            Engine::Parallel { .. } => {
-                engine_fallback.is_some()
-                    && self.config.bandwidth == BandwidthModel::BFlitsPerStep
-                    && !self.tracing
+            Engine::EventDriven | Engine::Parallel { .. } if sequential_event => {
+                crate::engine::drive(&mut self)
             }
-            Engine::Legacy => false,
-        };
-        let use_parallel =
-            matches!(self.config.engine, Engine::Parallel { .. }) && engine_fallback.is_none();
-        let (outcome, t, deadlock_report) = if use_parallel {
-            let threads = match self.config.engine {
-                Engine::Parallel { threads } => threads,
-                _ => unreachable!(),
-            };
-            crate::parallel::drive(&mut self, threads)
-        } else if use_event {
-            crate::engine::drive(&mut self)
-        } else {
-            self.drive_legacy()
+            _ => self.drive_legacy(),
         };
 
         let total_steps = match outcome {
             Outcome::Completed => self.last_finish,
             _ => t,
         };
-        let total_stalls = self.outcomes.iter().map(|o| o.stalls).sum();
-        let (escape_fallbacks, misroute_hops) = self
-            .adaptive
-            .as_ref()
-            .map_or((0, 0), |a| (a.escape_fallbacks, a.misroute_hops));
         // Fault stats. The applied-kill cursor is engine-identical: the
         // event engine's fast-forwards stop at kill times exactly as they
         // stop at message releases, so both engines apply every schedule
         // entry at the same simulated step. Recovery time is the gap from
         // the last applied kill to the first delivery at or after it.
         let kills_applied = self.next_kill as u64;
+        // A capped run may end before the source emitted every message it
+        // knows about; pad to the declared id bound so e.g. a replayed
+        // slice still reports one (default) outcome per input spec.
+        let n = (self.source.id_bound().unwrap_or(0) as usize).max(self.worms.len());
+        let mut messages: Vec<MessageOutcome> = std::mem::take(&mut self.worms)
+            .into_iter()
+            .map(|w| w.out)
+            .collect();
+        messages.resize(n, MessageOutcome::default());
+        // Collected in place over the larger records: drop the slack.
+        messages.shrink_to_fit();
+        let total_stalls = messages.iter().map(|o| o.stalls).sum();
         let fault_recovery_steps = if self.next_kill > 0 {
             let last_kill_at = self.kill_schedule[self.next_kill - 1].0;
-            self.outcomes
+            messages
                 .iter()
                 .filter_map(|o| o.finished)
                 .filter(|&f| f >= last_kill_at)
@@ -1450,29 +639,21 @@ impl<'a> Sim<'a> {
         } else {
             0
         };
-        // A capped run may end before the source emitted every message it
-        // knows about; pad to the declared id bound so e.g. a replayed
-        // slice still reports one (default) outcome per input spec.
-        if let Some(bound) = self.source.id_bound() {
-            if self.outcomes.len() < bound as usize {
-                self.outcomes
-                    .resize(bound as usize, MessageOutcome::default());
-            }
-        }
+        let counts = self.k.counts;
         (
             SimResult {
                 outcome,
                 total_steps,
-                messages: self.outcomes,
-                max_vcs_in_use: self.max_vcs as u32,
-                max_pool_in_use: self.max_pool,
+                messages,
+                max_vcs_in_use: self.k.vc.max_vcs as u32,
+                max_pool_in_use: self.k.vc.max_pool,
                 total_stalls,
-                flit_hops: self.flit_hops,
-                escape_fallbacks,
-                misroute_hops,
+                flit_hops: counts.flit_hops,
+                escape_fallbacks: counts.escape_fallbacks,
+                misroute_hops: counts.misroute_hops,
                 kills_applied,
                 fault_discards: self.fault_discards,
-                fault_detour_hops: self.fault_detour_hops,
+                fault_detour_hops: counts.fault_detour_hops,
                 fault_recovery_steps,
                 deadlock: deadlock_report,
                 open_loop: None,
@@ -1483,52 +664,52 @@ impl<'a> Sim<'a> {
         )
     }
 
+    /// The loop head every driver runs before step `*t`. With nothing in
+    /// flight (`idle`) the run is over iff the source is dry (a reactive
+    /// source with an idle network has flushed every completion, so its
+    /// answer is final); otherwise time jumps over the idle gap to the
+    /// next release — but never past the step cap: a release at or beyond
+    /// `max_steps` cannot run inside the cap, so the run ends at exactly
+    /// the cap instead of silently simulating (and reporting) beyond it.
+    /// With worms in flight only the cap ends the run. Returns the outcome
+    /// when the run ends.
+    pub(crate) fn loop_head(&mut self, idle: bool, t: &mut u64) -> Option<Outcome> {
+        let cap = self.config.max_steps;
+        if !idle {
+            return (*t >= cap).then_some(Outcome::MaxSteps);
+        }
+        match self.peek_next_release(*t) {
+            None => Some(Outcome::Completed),
+            Some(_) if *t >= cap => Some(Outcome::MaxSteps),
+            Some(r) if r >= cap => {
+                *t = cap;
+                Some(Outcome::MaxSteps)
+            }
+            Some(r) => {
+                *t = (*t).max(r);
+                None
+            }
+        }
+    }
+
     /// The original per-step driver: rescans every active worm each step.
     pub(crate) fn drive_legacy(&mut self) -> (Outcome, u64, Option<DeadlockReport>) {
         let mut t: u64 = 0;
         let mut deadlock_report = None;
         let outcome = loop {
-            // With nothing in flight the run is over iff the source is
-            // dry (a reactive source with an idle network has flushed
-            // every completion, so its answer is final). Otherwise
-            // fast-forward over the idle gap — but never past the step
-            // cap: a release at or beyond `max_steps` cannot run inside
-            // the cap, so the run ends at exactly the cap instead of
-            // silently simulating (and reporting) beyond it.
-            if self.active.is_empty() {
-                match self.peek_next_release(t) {
-                    None => break Outcome::Completed,
-                    Some(r) => {
-                        if t >= self.config.max_steps {
-                            break Outcome::MaxSteps;
-                        }
-                        if r >= self.config.max_steps {
-                            t = self.config.max_steps;
-                            break Outcome::MaxSteps;
-                        }
-                        t = t.max(r);
-                    }
-                }
-            } else if t >= self.config.max_steps {
-                break Outcome::MaxSteps;
+            if let Some(end) = self.loop_head(self.active.is_empty(), &mut t) {
+                break end;
             }
             // Kills scheduled at `t` take effect at the start of the step:
             // severed worms are discarded (their VCs released, visible to
             // this step's arbitration) before admissions, so messages
             // released at `t` already see the updated dead set.
             if self.faulted() && self.apply_kills(t) {
-                let outcomes = &self.outcomes;
-                self.active
-                    .retain(|&m| outcomes[m as usize].discarded.is_none());
+                self.retire_finished();
             }
-            let new = self.admit_ready(t);
-            for i in new {
-                let m = self.admitted_id(i);
-                // Skip messages discarded at admission (dead-on-arrival).
-                if self.outcomes[m as usize].discarded.is_none() {
-                    self.active.push(m);
-                }
-            }
+            let mut active = std::mem::take(&mut self.active);
+            self.admit_ready(t, &mut active);
+            self.active = active;
 
             let moved = match self.config.bandwidth {
                 BandwidthModel::BFlitsPerStep => self.step_full_bandwidth(t),
@@ -1554,14 +735,14 @@ impl<'a> Sim<'a> {
     /// the event engine calls this on cold paths (deadlock, invariant
     /// checks) instead of paying an `O(active)` retire scan every step.
     pub(crate) fn rebuild_active(&mut self) {
+        let worms = &self.worms;
         self.active.clear();
-        for i in 0..self.admitted.len() {
-            let m = self.admitted[i];
-            let mi = m as usize;
-            if !self.worms[mi].done() && self.outcomes[mi].discarded.is_none() {
-                self.active.push(m);
-            }
-        }
+        self.active.extend(
+            self.admitted
+                .iter()
+                .copied()
+                .filter(|&m| !worms[m as usize].retired()),
+        );
     }
 
     /// Held 1-based path-edge span of `m`, under either bandwidth model.
@@ -1569,83 +750,73 @@ impl<'a> Sim<'a> {
         let mi = m as usize;
         let w = &self.worms[mi];
         if self.config.bandwidth == BandwidthModel::BFlitsPerStep {
-            w.held_range()
-        } else {
-            let pos = &self.flit_pos[mi];
-            let head = match pos[0] {
-                FLIT_UNINJECTED => 0,
-                FLIT_DELIVERED => w.hops,
-                p => p,
-            };
-            let tail = match pos[pos.len() - 1] {
-                FLIT_UNINJECTED => 0,
-                FLIT_DELIVERED => w.hops,
-                p => p - 1,
-            };
-            (tail + 1, head)
+            return w.held_range();
         }
+        let pos = &self.flit_pos[mi];
+        let head = match pos[0] {
+            FLIT_UNINJECTED => 0,
+            FLIT_DELIVERED => w.hops,
+            p => p,
+        };
+        let tail = match pos[pos.len() - 1] {
+            FLIT_UNINJECTED => 0,
+            FLIT_DELIVERED => w.hops,
+            p => p - 1,
+        };
+        (tail + 1, head)
     }
 
     /// Reconstructs the wait-for relation at the moment of deadlock: per
     /// blocked worm, the edge it wants and that edge's current holders.
-    /// Holder lists are CSR over a dense per-edge index (a deadlocked
-    /// near-saturation run holds a large fraction of all edges; the old
-    /// `HashMap` paid a hash per held edge).
+    /// Holder lists are CSR over a dense per-edge index.
     pub(crate) fn build_deadlock_report(&self) -> DeadlockReport {
-        let mut start = vec![0u32; self.num_edges + 1];
+        let n = self.graph.num_edges();
+        let fe = self.config.final_edge;
+        let mut start = vec![0u32; n + 1];
         for &m in &self.active {
             let w = &self.worms[m as usize];
             let (lo, hi) = self.held_span(m);
-            for j in lo..=hi {
-                if self.needs_vc(w, j) {
-                    start[self.path_edge(m, j) + 1] += 1;
-                }
+            for j in (lo..=hi).filter(|&j| w.needs_vc(fe, j)) {
+                start[w.edge(j) + 1] += 1;
             }
         }
-        for e in 0..self.num_edges {
+        for e in 0..n {
             start[e + 1] += start[e];
         }
         let mut cursor = start.clone();
-        let mut hold = vec![0u32; start[self.num_edges] as usize];
+        let mut hold = vec![0u32; start[n] as usize];
         for &m in &self.active {
             let w = &self.worms[m as usize];
             let (lo, hi) = self.held_span(m);
-            for j in lo..=hi {
-                if self.needs_vc(w, j) {
-                    let e = self.path_edge(m, j);
-                    hold[cursor[e] as usize] = m;
-                    cursor[e] += 1;
-                }
+            for j in (lo..=hi).filter(|&j| w.needs_vc(fe, j)) {
+                let e = w.edge(j);
+                hold[cursor[e] as usize] = m;
+                cursor[e] += 1;
             }
         }
         let mut waits = Vec::new();
         for &m in &self.active {
             let mi = m as usize;
             let w = &self.worms[mi];
-            if w.pending_route {
-                // A pending worm waits on the hop it selected during the
-                // (movement-free) step that detected the deadlock.
-                let e = self.blocked_edge(m) as usize;
-                waits.push(WaitFor {
-                    message: m,
-                    edge: e as u32,
-                    holders: hold[start[e] as usize..start[e + 1] as usize].to_vec(),
-                });
-                continue;
-            }
-            let wanted = if self.config.bandwidth == BandwidthModel::BFlitsPerStep {
-                w.advance + 1
+            // A pending worm waits on the hop it selected during the
+            // (movement-free) step that detected the deadlock.
+            let e = if w.pending_route {
+                w.wanted_edge() as usize
             } else {
-                match self.flit_pos[mi][0] {
-                    FLIT_UNINJECTED => 1,
-                    FLIT_DELIVERED => continue, // draining; not head-blocked
-                    p => p + 1,
+                let wanted = if self.config.bandwidth == BandwidthModel::BFlitsPerStep {
+                    w.advance + 1
+                } else {
+                    match self.flit_pos[mi][0] {
+                        FLIT_UNINJECTED => 1,
+                        FLIT_DELIVERED => continue, // draining; not head-blocked
+                        p => p + 1,
+                    }
+                };
+                if wanted > w.hops {
+                    continue;
                 }
+                w.edge(wanted)
             };
-            if wanted > w.hops {
-                continue;
-            }
-            let e = self.path_edge(m, wanted);
             waits.push(WaitFor {
                 message: m,
                 edge: e as u32,
@@ -1657,48 +828,107 @@ impl<'a> Sim<'a> {
     }
 
     /// One step under the paper's primary model: every VC moves one flit.
-    /// Returns whether any worm advanced.
+    /// Returns whether any worm advanced (or a fault discard freed VCs).
     fn step_full_bandwidth(&mut self, t: u64) -> bool {
-        self.movers.clear();
-        self.blocked.clear();
-        self.buckets.clear();
-        self.doomed.clear();
-        // Phase 1: classify worms into drains, contenders, free movers
-        // (pending adaptive worms select their wanted hop here).
-        for i in 0..self.active.len() {
-            let m = self.active[i];
-            self.classify(m);
-        }
-        // Phase 2: per-edge arbitration using start-of-step holder counts.
-        self.arbitrate(t);
-        // Phase 3: apply. Doomed worms (severed escape continuation) are
-        // discarded here rather than during classification so their VC
-        // releases land mid-step — visible at `t+1`, like any release.
-        let moved = !self.movers.is_empty();
-        for i in 0..self.movers.len() {
-            let m = self.movers[i];
-            self.apply_advance(m, t);
-        }
-        for i in 0..self.doomed.len() {
-            let m = self.doomed[i];
-            self.discard(m, t, DiscardReason::LinkDown);
-        }
-        for i in 0..self.blocked.len() {
-            let m = self.blocked[i];
-            self.outcomes[m as usize].stalls += 1;
+        self.k
+            .contend(&mut self.worms, self.active.iter().copied(), t);
+        let progressed = self.apply(t);
+        for i in 0..self.k.blocked.len() {
+            let m = self.k.blocked[i];
+            self.worms[m as usize].out.stalls += 1;
             if self.tracing {
-                let edge = self.blocked_edge(m);
+                let edge = self.worms[m as usize].wanted_edge();
                 self.trace.push(TraceEvent::Blocked { t, msg: m, edge });
             }
             if self.config.blocked == BlockedPolicy::Discard {
-                self.discard(m, t, DiscardReason::Delay);
+                self.commit_discard(m, t, DiscardReason::Delay);
             }
         }
-        self.settle_max_vcs();
+        self.k.vc.settle_max();
         self.retire_finished();
-        // A fault discard is progress for the deadlock test: it released
-        // VCs mid-step, so blocked worms may advance at `t+1`.
-        moved || !self.doomed.is_empty()
+        progressed
+    }
+
+    /// Phase 3 of a sequential step: advances this step's winners, then
+    /// discards the doomed worms (severed escape continuation) — after
+    /// arbitration, so their VC releases land mid-step and are visible at
+    /// `t+1`, like any release. Returns whether anything moved or was
+    /// discarded: a fault discard is progress for the deadlock test.
+    pub(crate) fn apply(&mut self, t: u64) -> bool {
+        for i in 0..self.k.movers.len() {
+            self.commit_advance(self.k.movers[i], t);
+        }
+        for i in 0..self.k.doomed.len() {
+            self.commit_discard(self.k.doomed[i], t, DiscardReason::LinkDown);
+        }
+        !self.k.movers.is_empty() || !self.k.doomed.is_empty()
+    }
+
+    /// [`Kernel::advance`] on message `m`, plus tracing and completion
+    /// bookkeeping.
+    pub(crate) fn commit_advance(&mut self, m: u32, t: u64) {
+        let acquired = self.k.vc.acquired.len();
+        let finished = self.k.advance(&mut self.worms[m as usize], t);
+        if self.tracing && self.k.vc.acquired.len() > acquired {
+            let edge = self.k.vc.acquired[acquired];
+            self.trace.push(TraceEvent::Acquire { t, msg: m, edge });
+        }
+        if finished {
+            self.finish(m, t + 1);
+        }
+    }
+
+    /// Completion bookkeeping for message `m`, delivered at `at`.
+    fn finish(&mut self, m: u32, at: u64) {
+        self.last_finish = self.last_finish.max(at);
+        self.unfinished -= 1;
+        self.record_done(m, at, true);
+        if self.tracing {
+            self.trace.push(TraceEvent::Finish { t: at, msg: m });
+        }
+    }
+
+    /// [`Kernel::drain`] on message `m` from `*t` to `min(stop, finish)`,
+    /// moving `*t` along. Only called by the event engine in contexts
+    /// where no third party can observe the intermediate states (nothing
+    /// parked; co-advancing worms are drains too, and drains only ever
+    /// decrement holder counts, which commutes).
+    pub(crate) fn commit_drain(&mut self, m: u32, t: &mut u64, stop: u64) {
+        *t += self.k.drain(&mut self.worms[m as usize], *t, stop);
+        if self.worms[m as usize].done() {
+            self.finish(m, *t);
+        }
+    }
+
+    /// [`Kernel::discard`] on message `m` at step `t`, plus completion
+    /// bookkeeping. Removal from the active list happens in
+    /// `retire_finished` via the discarded flag.
+    pub(crate) fn commit_discard(&mut self, m: u32, t: u64, reason: DiscardReason) {
+        self.k.discard(&mut self.worms[m as usize], reason);
+        if reason == DiscardReason::LinkDown {
+            self.fault_discards += 1;
+        }
+        self.unfinished -= 1;
+        self.record_done(m, t, false);
+        if self.tracing {
+            self.trace.push(TraceEvent::Discard { t, msg: m });
+        }
+    }
+
+    fn retire_finished(&mut self) {
+        let worms = &self.worms;
+        self.active.retain(|&m| !worms[m as usize].retired());
+    }
+
+    /// Recomputes VC holder counts from scratch and checks all invariants.
+    /// The event engine rebuilds `active` before calling this.
+    pub(crate) fn validate(&self) {
+        if self.config.bandwidth == BandwidthModel::OneFlitPerStep {
+            self.validate_restricted();
+        } else {
+            self.k
+                .validate(self.active.iter().map(|&m| &self.worms[m as usize]));
+        }
     }
 
     /// One step under the restricted model: each physical edge transmits at
@@ -1724,6 +954,7 @@ impl<'a> Sim<'a> {
             self.tokens_used[e as usize] = false;
         }
         self.token_touched.clear();
+        let fe = self.config.final_edge;
         let n_active = self.active.len();
         let start = if n_active == 0 {
             0
@@ -1744,6 +975,8 @@ impl<'a> Sim<'a> {
                 if target > d {
                     continue; // defensive; crossing edge d delivers
                 }
+                let w = &self.worms[mi];
+                let e = w.edge(target);
                 if k > 0 {
                     // The slot ahead (buffer of `target`) must be free of the
                     // predecessor flit; processed head-first, a predecessor
@@ -1752,66 +985,49 @@ impl<'a> Sim<'a> {
                     if pred != FLIT_DELIVERED && pred <= target {
                         continue;
                     }
-                } else {
-                    // Head flit: acquires a VC on the edge it crosses.
-                    if self.needs_vc(&self.worms[mi], target)
-                        && !self.edge_acquirable(self.path_edge(m, target))
-                    {
-                        continue;
-                    }
+                } else if w.needs_vc(fe, target) && !self.k.vc.acquirable(e) {
+                    continue; // head flit: acquires a VC on the edge it crosses
                 }
-                let e = self.path_edge(m, target);
                 if self.tokens_used[e] {
                     continue;
                 }
                 // Apply the crossing.
                 self.tokens_used[e] = true;
                 self.token_touched.push(e as u32);
-                self.flit_hops += 1;
+                self.k.counts.flit_hops += 1;
                 let delivered = target == d;
                 self.flit_pos[mi][k] = if delivered { FLIT_DELIVERED } else { target };
                 if delivered && k as u32 == self.rfirst[mi] {
                     self.rfirst[mi] += 1;
                 }
                 if k == 0 {
-                    if self.needs_vc(&self.worms[mi], target) {
-                        self.acquire_vc(e);
-                        self.max_vcs = self.max_vcs.max(self.holders[e]);
-                        self.max_pool =
-                            self.max_pool.max(self.pool_used[self.edge_src[e] as usize]);
+                    if w.needs_vc(fe, target) {
+                        self.k.vc.acquire(e);
+                        self.k.vc.sample(e);
                         if self.tracing {
-                            self.trace.push(TraceEvent::Acquire {
-                                t,
-                                msg: m,
-                                edge: e as u32,
-                            });
+                            let edge = e as u32;
+                            self.trace.push(TraceEvent::Acquire { t, msg: m, edge });
                         }
                     }
-                    if self.outcomes[mi].first_move.is_none() {
-                        self.outcomes[mi].first_move = Some(t);
-                    }
+                    let out = &mut self.worms[mi].out;
+                    out.first_move = out.first_move.or(Some(t));
                 }
                 if k == length - 1 {
                     // Tail: releases the buffer it left and, on delivery,
                     // the final edge's VC.
-                    if p != FLIT_UNINJECTED && self.needs_vc(&self.worms[mi], p) {
-                        let e_old = self.path_edge(m, p);
-                        self.release_vc(e_old);
+                    let w = &self.worms[mi];
+                    if p != FLIT_UNINJECTED && w.needs_vc(fe, p) {
+                        self.k.vc.release(w.edge(p));
                     }
-                    if delivered && self.needs_vc(&self.worms[mi], d) {
-                        self.release_vc(e);
+                    if delivered && w.needs_vc(fe, d) {
+                        self.k.vc.release(e);
                     }
                 }
                 if delivered {
                     self.rdelivered[mi] += 1;
                     if self.rdelivered[mi] as usize == length {
-                        self.outcomes[mi].finished = Some(t + 1);
-                        self.last_finish = self.last_finish.max(t + 1);
-                        self.unfinished -= 1;
-                        self.record_done(m, t + 1, true);
-                        if self.tracing {
-                            self.trace.push(TraceEvent::Finish { t: t + 1, msg: m });
-                        }
+                        self.worms[mi].out.finished = Some(t + 1);
+                        self.finish(m, t + 1);
                     }
                 }
                 worm_moved = true;
@@ -1819,293 +1035,22 @@ impl<'a> Sim<'a> {
             if worm_moved {
                 any_moved = true;
             } else {
-                self.outcomes[mi].stalls += 1;
+                self.worms[mi].out.stalls += 1;
             }
         }
-        let outcomes = &self.outcomes;
-        self.active
-            .retain(|&m| outcomes[m as usize].finished.is_none());
-        any_moved
-    }
-
-    /// Releases one VC on `e`, returning per-router pool accounting and
-    /// notifying the event engine's wait queues when any worm is parked.
-    #[inline]
-    fn release_vc(&mut self, e: usize) {
-        let h = self.holders[e];
-        self.holders[e] = h - 1;
-        let r = self.edge_src[e] as usize;
-        self.pool_used[r] -= 1;
-        if self.pooled && h as u32 > self.per_edge_min {
-            self.shared_used[r] -= 1;
-        }
-        if self.track_releases {
-            self.released.push(e as u32);
-        }
-    }
-
-    pub(crate) fn apply_advance(&mut self, m: u32, t: u64) {
-        // A pending worm that won its wanted edge extends its route
-        // first, so the acquisition below sees the updated path/hops
-        // (and the possibly-final edge under its final-edge policy).
-        if self.worms[m as usize].pending_route {
-            self.extend_route(m);
-        }
-        let (hops, length, width) = {
-            let w = &self.worms[m as usize];
-            (w.hops, w.length, w.crossing_width())
-        };
-        self.flit_hops += width as u64;
-        let out = &mut self.outcomes[m as usize];
-        if out.first_move.is_none() {
-            out.first_move = Some(t);
-        }
-        self.worms[m as usize].advance += 1;
-        let a = self.worms[m as usize].advance;
-        // Acquire the newly crossed edge.
-        if a <= hops && self.needs_vc(&self.worms[m as usize], a) {
-            let e = self.path_edge(m, a);
-            self.acquire_vc(e);
-            self.acquired.push(e as u32);
-            if self.tracing {
-                self.trace.push(TraceEvent::Acquire {
-                    t,
-                    msg: m,
-                    edge: e as u32,
-                });
-            }
-        }
-        // Release the edge the tail just left.
-        if a > length {
-            let rel = a - length; // 1-based; always ≤ hops − 1 here
-            if self.needs_vc(&self.worms[m as usize], rel) {
-                let e = self.path_edge(m, rel);
-                self.release_vc(e);
-            }
-        }
-        if self.worms[m as usize].done() {
-            // The final edge's VC is released on completion.
-            if self.needs_vc(&self.worms[m as usize], hops) {
-                let e = self.path_edge(m, hops);
-                self.release_vc(e);
-            }
-            let out = &mut self.outcomes[m as usize];
-            out.finished = Some(t + 1);
-            self.last_finish = self.last_finish.max(t + 1);
-            self.unfinished -= 1;
-            self.record_done(m, t + 1, true);
-            if self.tracing {
-                self.trace.push(TraceEvent::Finish { t: t + 1, msg: m });
-            }
-        }
-    }
-
-    /// Batch-advances a draining worm (`advance ≥ hops`) from virtual time
-    /// `*t` to `min(stop, finish)`, in O(released edges) instead of one
-    /// call per step: drains acquire nothing and finish deterministically
-    /// at `advance = hops + L − 1`, so the per-step effects collapse to a
-    /// closed-form `flit_hops` sum, the tail's release sequence, and the
-    /// finish bookkeeping. Only called by the event engine in contexts
-    /// where no third party can observe the intermediate states (nothing
-    /// parked; co-advancing worms are drains too, and drains only ever
-    /// decrement holder counts, which commutes).
-    pub(crate) fn fast_drain(&mut self, m: u32, t: &mut u64, stop: u64) {
-        let mi = m as usize;
-        let (hops, length, a0) = {
-            let w = &self.worms[mi];
-            (w.hops, w.length, w.advance)
-        };
-        debug_assert!(a0 >= hops && *t < stop);
-        let fin_a = hops + length - 1;
-        let k = ((fin_a - a0) as u64).min(stop - *t);
-        if k == 0 {
-            return; // already done
-        }
-        let a1 = a0 + k as u32;
-        // flit_hops: Σ width(a) for a ∈ (a0, a1]; width(a) = hops while
-        // a ≤ L (the tail is still injecting) and hops + L − a after.
-        {
-            let (d, l) = (hops as u64, length as u64);
-            let (a0, a1) = (a0 as u64, a1 as u64);
-            let flat_hi = a1.min(l);
-            if flat_hi > a0 {
-                self.flit_hops += d * (flat_hi - a0);
-            }
-            let s = a0.max(l) + 1;
-            if a1 >= s {
-                let (w_hi, w_lo) = (d + l - s, d + l - a1);
-                self.flit_hops += (w_hi + w_lo) * (a1 - s + 1) / 2;
-            }
-        }
-        // The tail leaves edges (a0+1−L ..= a1−L) ∩ [1, hops−1].
-        if a1 > length {
-            let lo = (a0 + 1).saturating_sub(length).max(1);
-            for rel in lo..=a1 - length {
-                if self.needs_vc(&self.worms[mi], rel) {
-                    let e = self.path_edge(m, rel);
-                    self.release_vc(e);
-                }
-            }
-        }
-        self.worms[mi].advance = a1;
-        if a1 == fin_a {
-            if self.needs_vc(&self.worms[mi], hops) {
-                let e = self.path_edge(m, hops);
-                self.release_vc(e);
-            }
-            let fin_t = *t + k; // the finishing advance ran at step t+k−1
-            self.outcomes[mi].finished = Some(fin_t);
-            self.last_finish = self.last_finish.max(fin_t);
-            self.unfinished -= 1;
-            self.record_done(m, fin_t, true);
-        }
-        *t += k;
-    }
-
-    /// Folds this step's acquisitions into `max_vcs_in_use`.
-    ///
-    /// Holder counts are sampled at **end of step**: within a step, the
-    /// apply order of same-step acquires and releases on one edge is an
-    /// implementation detail (and differs between engines), whereas the
-    /// end-of-step count — and therefore the reported maximum — is
-    /// order-free and engine-identical.
-    pub(crate) fn settle_max_vcs(&mut self) {
-        for i in 0..self.acquired.len() {
-            let e = self.acquired[i] as usize;
-            self.max_vcs = self.max_vcs.max(self.holders[e]);
-            let r = self.edge_src[e] as usize;
-            self.max_pool = self.max_pool.max(self.pool_used[r]);
-        }
-        self.acquired.clear();
-    }
-
-    pub(crate) fn discard(&mut self, m: u32, t: u64, reason: DiscardReason) {
-        let (lo, hi) = self.worms[m as usize].held_range();
-        for j in lo..=hi {
-            if self.needs_vc(&self.worms[m as usize], j) {
-                let e = self.path_edge(m, j);
-                self.release_vc(e);
-            }
-        }
-        self.outcomes[m as usize].discarded = Some(reason);
-        if reason == DiscardReason::LinkDown {
-            self.fault_discards += 1;
-        }
-        self.unfinished -= 1;
-        self.record_done(m, t, false);
-        if self.tracing {
-            self.trace.push(TraceEvent::Discard { t, msg: m });
-        }
-        // Removal from the active list happens in retire_finished via the
-        // discarded flag.
-    }
-
-    fn retire_finished(&mut self) {
-        let outcomes = &self.outcomes;
         let worms = &self.worms;
         self.active
-            .retain(|&m| !worms[m as usize].done() && outcomes[m as usize].discarded.is_none());
-    }
-
-    /// Recomputes VC holder counts from scratch and checks all invariants.
-    /// The event engine rebuilds `active` before calling this.
-    pub(crate) fn validate(&self) {
-        if self.config.bandwidth == BandwidthModel::OneFlitPerStep {
-            self.validate_restricted();
-            return;
-        }
-        let mut expect = vec![0u16; self.num_edges];
-        for &m in &self.active {
-            let w = &self.worms[m as usize];
-            let (lo, hi) = w.held_range();
-            for j in lo..=hi {
-                if self.needs_vc(w, j) {
-                    expect[self.path_edge(m, j)] += 1;
-                }
-            }
-        }
-        assert_eq!(expect, self.holders, "VC accounting mismatch");
-        self.validate_capacity();
-        // Flit conservation per worm: injected − delivered == in-network.
-        for &m in &self.active {
-            let w = &self.worms[m as usize];
-            let injected = w.advance.min(w.length);
-            // A pending worm's header sits in the buffer of its newest
-            // edge (advance == hops) and has delivered nothing — the
-            // oblivious formula would misread that as an arrival.
-            let (delivered, slack) = if w.pending_route {
-                (0, 0)
-            } else {
-                // The held-edge count equals the in-network flit count,
-                // except that once the header has arrived (advance ≥
-                // hops) the destination edge's buffer clears instantly
-                // while its VC is still held — one extra held edge.
-                (
-                    (w.advance + 1).saturating_sub(w.hops).min(w.length),
-                    u32::from(w.advance >= w.hops),
-                )
-            };
-            let in_net = (w.held_range().1 + 1).saturating_sub(w.held_range().0);
-            let expected = injected - delivered;
-            assert!(
-                in_net == expected + slack,
-                "flit conservation violated for message {m}: in_net={in_net} injected={injected} delivered={delivered}"
-            );
-        }
-        // Adaptive bookkeeping: routes and worm state agree.
-        if let Some(ad) = &self.adaptive {
-            for &m in &self.active {
-                let mi = m as usize;
-                let w = &self.worms[mi];
-                assert_eq!(
-                    ad.routes[mi].len() as u32,
-                    w.hops,
-                    "route length out of sync for message {m}"
-                );
-                if w.pending_route {
-                    assert_eq!(w.advance, w.hops, "pending worm ahead of its route");
-                } else {
-                    let g = ad.router.graph();
-                    let last = *ad.routes[mi].last().expect("fixed route is nonempty");
-                    assert_eq!(g.dst(last), ad.dst[mi], "frozen route misses dst");
-                }
-            }
-        }
-    }
-
-    /// Recomputes the per-router pool counters from the holder counts
-    /// and runs [`Sim::check_capacity`] on every edge — the shared
-    /// capacity/pool validation both bandwidth models end with.
-    fn validate_capacity(&self) {
-        let mut pool_expect = vec![0u32; self.pool_used.len()];
-        let mut shared_expect = vec![0u32; self.shared_used.len()];
-        for (e, &h) in self.holders.iter().enumerate() {
-            let r = self.edge_src[e] as usize;
-            pool_expect[r] += h as u32;
-            if self.pooled {
-                shared_expect[r] += (h as u32).saturating_sub(self.per_edge_min);
-            }
-        }
-        assert_eq!(
-            pool_expect, self.pool_used,
-            "router pool accounting mismatch"
-        );
-        assert_eq!(
-            shared_expect, self.shared_used,
-            "shared-portion accounting mismatch"
-        );
-        for e in 0..self.num_edges {
-            self.check_capacity(e);
-        }
+            .retain(|&m| worms[m as usize].out.finished.is_none());
+        any_moved
     }
 
     /// Invariant checks for the restricted (per-flit) model.
     fn validate_restricted(&self) {
-        let mut expect = vec![0u16; self.num_edges];
+        let fe = self.config.final_edge;
+        let mut expect = vec![0u16; self.graph.num_edges()];
         for &m in &self.active {
             let mi = m as usize;
             let w = &self.worms[mi];
-            let d = w.hops;
             let pos = &self.flit_pos[mi];
             // Flit positions are strictly ordered head-to-tail.
             for k in 1..pos.len() {
@@ -2121,20 +1066,9 @@ impl<'a> Sim<'a> {
                 "rfirst out of sync for message {m}"
             );
             // Held VC range: (tail_released, head_acquired].
-            let head_acq = match pos[0] {
-                FLIT_UNINJECTED => 0,
-                FLIT_DELIVERED => d,
-                p => p,
-            };
-            let tail_rel = match pos[pos.len() - 1] {
-                FLIT_UNINJECTED => 0,
-                FLIT_DELIVERED => d,
-                p => p - 1,
-            };
-            for j in tail_rel + 1..=head_acq {
-                if self.needs_vc(w, j) {
-                    expect[self.path_edge(m, j)] += 1;
-                }
+            let (lo, hi) = self.held_span(m);
+            for j in (lo..=hi).filter(|&j| w.needs_vc(fe, j)) {
+                expect[w.edge(j)] += 1;
             }
             // Conservation: injected − delivered flits sit in buffers.
             let in_buffers = pos
@@ -2149,14 +1083,20 @@ impl<'a> Sim<'a> {
                 "flit conservation violated for message {m}"
             );
         }
-        assert_eq!(expect, self.holders, "restricted VC accounting mismatch");
-        self.validate_capacity();
+        assert_eq!(
+            expect, self.k.vc.holders,
+            "restricted VC accounting mismatch"
+        );
+        self.k.vc.validate_counts();
     }
 }
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{Arbitration, FinalEdgePolicy};
+    use crate::kernel::FlatBuckets;
     use crate::message::specs_from_paths;
+    use wormhole_topology::graph::EdgeId;
     use wormhole_topology::graph::{GraphBuilder, NodeId};
     use wormhole_topology::path::{Path, PathSet};
     use wormhole_topology::random_nets::shared_chain_instance;
